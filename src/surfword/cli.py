@@ -17,7 +17,9 @@ from pathlib import Path
 from .invariants import invariants_summary, random_word
 from .normalform import NormalForm, normalize
 from .rewrite import Trace
-from .words import Word
+from .words import MultiplicityError, Word, WordSyntaxError
+
+_WORD_ERRORS = (WordSyntaxError, MultiplicityError)
 
 
 def _form_line(form: NormalForm) -> str:
@@ -33,11 +35,6 @@ def _invariants_line(summary: dict) -> str:
     return " ".join(parts)
 
 
-def _word_error(exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return 1
-
-
 def _emit_json(document: dict) -> None:
     print(json.dumps(document, indent=2))
 
@@ -47,10 +44,7 @@ def _trace_json(trace: Trace) -> list[dict]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        word = Word.parse(args.word)
-    except ValueError as exc:
-        return _word_error(exc)
+    word = Word.parse(args.word)
     form, trace = normalize(word)
     if args.json:
         document = {"word": word.render(), "normal_form": form.to_dict()}
@@ -66,11 +60,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    try:
-        first = Word.parse(args.first)
-        second = Word.parse(args.second)
-    except ValueError as exc:
-        return _word_error(exc)
+    first = Word.parse(args.first)
+    second = Word.parse(args.second)
     form_a, _ = normalize(first)
     form_b, _ = normalize(second)
     same = form_a == form_b
@@ -87,10 +78,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        word = Word.parse(args.word)
-    except ValueError as exc:
-        return _word_error(exc)
+    word = Word.parse(args.word)
     form, trace = normalize(word)
     if args.json:
         _emit_json(
@@ -107,10 +95,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    try:
-        word = Word.parse(args.word)
-    except ValueError as exc:
-        return _word_error(exc)
+    word = Word.parse(args.word)
     summary = invariants_summary(word)
     if args.json:
         _emit_json({"word": word.render(), "invariants": summary})
@@ -144,7 +129,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             continue
         try:
             word = Word.parse(stripped)
-        except ValueError as exc:
+        except _WORD_ERRORS as exc:
             any_failed = True
             if args.json:
                 print(json.dumps({"word": stripped, "error": str(exc)}))
@@ -212,7 +197,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _WORD_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

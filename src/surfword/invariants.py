@@ -279,49 +279,55 @@ class Orbit:
 
     def __contains__(self, word: object) -> bool:
         if not isinstance(word, Word):
-            return NotImplemented
-        return any(member.cyclic_equal(word) for member in self.words)
+            return False
+        key = word.canonical_key()
+        return any(
+            len(member) == len(word) and member.canonical_key() == key for member in self.words
+        )
 
 
 def _orbit_neighbors(word: Word) -> Iterator[Word]:
-    """All words one rule application away, tried from every rotation of
-    the word and of its inversion.
+    """All words one rule application away from ``word``, read from the
+    word and from its inversion.
 
-    The rules read patterns off stored positions, so spinning through
-    rotations and the inversion exposes every cyclic match site.
+    ``cancel``, ``transpose_discord`` and ``slide_block`` read their
+    sites cyclically, so one reading finds every site.  ``fold_concord``
+    and ``interleave_to_handle`` start from the first stored occurrence
+    of a label, so those two also run from the rotations that put each
+    occurrence of that label first.  The same neighbor can come out
+    more than once; :func:`bfs_orbit` deduplicates by key.
     """
     n = len(word)
     if n == 0:
         return
     for base in (word, word.invert()):
-        for k in range(n):
-            spun = base.rotate(k)
-            table = spun.pairing()
-            for pos in range(n):
+        table = base.pairing()
+        discords = table.with_character(DISCORD)
+        for pos in range(n):
+            try:
+                yield cancel(base, pos)
+            except NotApplicable:
+                pass
+        for label in discords:
+            for split in range(n):
                 try:
-                    yield cancel(spun, pos)
+                    yield transpose_discord(base, label, split)
                 except NotApplicable:
                     pass
-            for label in table.labels():
-                character = table.character(label)
-                if character == CONCORD:
-                    yield fold_concord(spun, label)
-                elif character == DISCORD:
-                    for split in range(n):
-                        try:
-                            yield transpose_discord(spun, label, split)
-                        except NotApplicable:
-                            pass
-            for start in range(n):
-                if block_at(spun, start) is None:
-                    continue
-                for dest in range(n):
-                    try:
-                        yield slide_block(spun, start, dest)
-                    except NotApplicable:
-                        pass
-            discords = [l for l in table.labels() if table.character(l) == DISCORD]
-            for a in discords:
+        for start in range(n):
+            if block_at(base, start) is None:
+                continue
+            for dest in range(n):
+                try:
+                    yield slide_block(base, start, dest)
+                except NotApplicable:
+                    pass
+        for label in table.with_character(CONCORD):
+            for p in table.positions(label):
+                yield fold_concord(base.rotate(p), label)
+        for a in discords:
+            for p in table.positions(a):
+                spun = base.rotate(p)
                 for b in discords:
                     if a == b:
                         continue
@@ -338,7 +344,9 @@ def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None 
     length at most ``max_length`` (the start word is always admitted),
     and capped at ``max_states`` states; hitting the cap sets the
     ``truncated`` flag.  No rule lengthens a word, so the closure is
-    finite even unbounded.
+    finite even unbounded.  ``Orbit.words`` holds one member per class,
+    which may be any rotation or inversion of it; compare members with
+    :meth:`Word.canonical_key` or ``in``.
     """
     seen: dict[tuple, Word] = {word.canonical_key(): word}
     queue: deque[Word] = deque([word])

@@ -22,14 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rewrite import (
-    RewriteStep,
-    Trace,
-    _cyclic_between,
-    apply_step,
-    fold_concord,
-    interleave_to_handle,
-)
+from .rewrite import RewriteStep, Trace, _cyclic_between, apply_step
 from .words import CONCORD, DISCORD, SINGLE, PairingTable, SignedLetter, Word
 
 __all__ = [
@@ -160,10 +153,12 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
     cur = word
 
     def emit(rule: str, params: dict) -> None:
+        # only fold_concord and interleave_to_handle can return their input
         nonlocal cur
         out = apply_step(cur, rule, params)
-        steps.append(RewriteStep(rule, params, cur, out))
-        cur = out
+        if out != cur:
+            steps.append(RewriteStep(rule, params, cur, out))
+            cur = out
 
     crosscaps = 0
     while True:
@@ -172,10 +167,7 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
         if label is None:
             break
         i, j = table.positions(label)
-        folded = fold_concord(cur, label)
-        if folded != cur:
-            steps.append(RewriteStep("fold_concord", {"label": label}, cur, folded))
-            cur = folded
+        emit("fold_concord", {"label": label})
         emit("hive_crosscap", {"pos": j - 1})
         crosscaps += 1
 
@@ -185,12 +177,7 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
         if found is None:
             break
         a, b = found
-        collected = interleave_to_handle(cur, a, b)
-        if collected != cur:
-            steps.append(
-                RewriteStep("interleave_to_handle", {"a": a, "b": b}, cur, collected)
-            )
-            cur = collected
+        emit("interleave_to_handle", {"a": a, "b": b})
         emit("hive_handle", {"pos": 0})
         handles += 1
 

@@ -289,8 +289,6 @@ _APPLIERS = {
     "hive_handle": lambda w, p: hive_handle(w, int(p["pos"])),
 }
 
-RULE_NAMES = frozenset(_APPLIERS)
-
 
 def apply_step(word: Word, rule: str, params: dict | None = None) -> Word:
     """Apply ``rule`` with ``params`` to ``word``; the step dispatcher."""
@@ -299,6 +297,9 @@ def apply_step(word: Word, rule: str, params: dict | None = None) -> Word:
     except KeyError:
         raise NotApplicable(f"unknown rule {rule!r}") from None
     return applier(word, params or {})
+
+
+_STEP_KEYS = {"rule", "params", "before", "after"}
 
 
 @dataclass(frozen=True, eq=True)
@@ -325,6 +326,15 @@ class RewriteStep:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RewriteStep":
+        """Rebuild a step from :meth:`to_dict` output; raises
+        :class:`ValueError` on any other shape or an unparsable word."""
+        if not (
+            isinstance(data, dict)
+            and data.keys() == _STEP_KEYS
+            and isinstance(data["params"], dict)
+            and all(isinstance(data[k], str) for k in ("rule", "before", "after"))
+        ):
+            raise ValueError("trace step wants strings rule, before, after and an object params")
         return cls(
             rule=data["rule"],
             params=dict(data["params"]),
@@ -392,7 +402,11 @@ class Trace:
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
+        """Parse :meth:`to_json` output; raises :class:`ValueError` on
+        malformed JSON, a malformed step or steps that do not chain."""
         data = json.loads(text)
+        if not isinstance(data, list):
+            raise ValueError("a trace must be a JSON array of steps")
         return cls(RewriteStep.from_dict(item) for item in data)
 
 
@@ -400,7 +414,8 @@ def replay(word: Word, trace: Trace) -> Word:
     """Re-run ``trace`` from ``word``, verifying every step exactly.
 
     Raises :class:`ReplayMismatch` on the first step whose recorded
-    words disagree with recomputation.  Returns the final word.
+    words disagree with recomputation, or whose rule or parameters do
+    not apply.  Returns the final word.
     """
     current = word
     for idx, step in enumerate(trace):
@@ -410,7 +425,8 @@ def replay(word: Word, trace: Trace) -> Word:
             )
         try:
             result = apply_step(current, step.rule, step.params)
-        except NotApplicable as exc:
+        except (ValueError, KeyError, TypeError) as exc:
+            # NotApplicable is a ValueError; the rest come from bad params
             raise ReplayMismatch(f"step {idx}: {step.rule} not applicable: {exc}") from exc
         if result != step.after:
             raise ReplayMismatch(

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from string import ascii_lowercase
 from typing import Iterator
 
@@ -285,7 +284,21 @@ class Word:
 
     def canonical_key(self, up_to_relabel: bool = False) -> tuple:
         """A key equal for two words iff they are cyclically equal."""
-        return _canonical_key(self, bool(up_to_relabel))
+        n = len(self)
+        if n == 0:
+            return ()
+        best = None
+        for base in (self.letters, self.invert().letters):
+            for r in range(n):
+                rot = base[r:] + base[:r]
+                if up_to_relabel:
+                    ids: dict[str, int] = {}
+                    enc = tuple((ids.setdefault(l.label, len(ids)), l.inverted) for l in rot)
+                else:
+                    enc = tuple((l.label, l.inverted) for l in rot)
+                if best is None or enc < best:
+                    best = enc
+        return best
 
     def cyclic_equal(self, other: "Word", up_to_relabel: bool = False) -> bool:
         """Equality up to rotation and inversion, optionally up to a
@@ -298,27 +311,7 @@ class Word:
         """
         if len(self) != len(other):
             return False
-        flag = bool(up_to_relabel)
-        return _canonical_key(self, flag) == _canonical_key(other, flag)
-
-
-@lru_cache(maxsize=None)
-def _canonical_key(word: Word, up_to_relabel: bool) -> tuple:
-    n = len(word)
-    if n == 0:
-        return ()
-    best = None
-    for base in (word.letters, word.invert().letters):
-        for r in range(n):
-            rot = base[r:] + base[:r]
-            if up_to_relabel:
-                ids: dict[str, int] = {}
-                enc = tuple((ids.setdefault(l.label, len(ids)), l.inverted) for l in rot)
-            else:
-                enc = tuple((l.label, l.inverted) for l in rot)
-            if best is None or enc < best:
-                best = enc
-    return best
+        return self.canonical_key(up_to_relabel) == other.canonical_key(up_to_relabel)
 
 
 def parse(text: str) -> Word:

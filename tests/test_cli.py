@@ -28,12 +28,6 @@ class TestClassify:
         assert code == 0
         assert out == "kind=orientable genus=1 boundary=1 chi=-1\n"
 
-    def test_invalid_word_exits_1(self, capsys):
-        code, out, err = run(capsys, "classify", "a a a")
-        assert code == 1
-        assert out == ""
-        assert "error" in err
-
     def test_json(self, capsys):
         code, out, _ = run(capsys, "classify", "--json", "a a b b")
         assert code == 0
@@ -76,11 +70,6 @@ class TestEquiv:
         assert document["equivalent"] is True
         assert document["normal_forms"][0]["kind"] == "sphere"
 
-    def test_invalid_word_exits_1(self, capsys):
-        code, _, err = run(capsys, "equiv", "a a", "b b b")
-        assert code == 1
-        assert "error" in err
-
 
 class TestTrace:
     def test_arrow_lines(self, capsys):
@@ -120,6 +109,23 @@ class TestInvariants:
             "vertices": 1,
             "edges": 3,
         }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "a a a"],
+        ["equiv", "a a", "b b b"],
+        ["trace", "a b!"],
+        ["invariants", "--json", "A"],
+    ],
+    ids=["classify", "equiv", "trace", "invariants"],
+)
+def test_invalid_word_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 class TestGen:

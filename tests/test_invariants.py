@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfword import (
+    CONCORD,
+    DISCORD,
     CornerComplex,
     InconsistentInvariants,
     NormalForm,
+    NotApplicable,
     Orbit,
     bfs_orbit,
+    block_at,
     boundary_count,
+    cancel,
     classify,
     classify_by_invariants,
     corner_complex,
@@ -19,11 +24,16 @@ from surfword import (
     family_iii,
     family_iv,
     family_v,
+    fold_concord,
+    interleave_to_handle,
     invariants_summary,
     orientable,
     parse,
     random_word,
+    slide_block,
+    transpose_discord,
 )
+from surfword.invariants import _orbit_neighbors
 
 from conftest import relabeled, words
 
@@ -199,6 +209,12 @@ class TestOrbit:
             for second in members[i + 1 :]:
                 assert not first.cyclic_equal(second)
 
+    def test_membership_of_a_non_word_is_false(self):
+        orbit = bfs_orbit(parse("a b a' b'"))
+        assert 5 not in orbit
+        assert "a b a' b'" not in orbit
+        assert parse("b' a' b a") in orbit
+
     def test_truncation_flag(self):
         orbit = bfs_orbit(parse("a b a b"), max_states=2)
         assert orbit.truncated
@@ -216,3 +232,57 @@ def test_orbit_is_an_orbit_of_words():
     assert isinstance(orbit, Orbit)
     for member in orbit:
         assert member == parse(member.render())
+
+
+def _every_rotation_neighbors(word):
+    """Reference neighbor enumeration: every rule tried from all 2n
+    rotations of the word and of its inversion."""
+    n = len(word)
+    for base in (word, word.invert()):
+        for k in range(n):
+            spun = base.rotate(k)
+            table = spun.pairing()
+            for pos in range(n):
+                try:
+                    yield cancel(spun, pos)
+                except NotApplicable:
+                    pass
+            discords = table.with_character(DISCORD)
+            for label in table.with_character(CONCORD):
+                yield fold_concord(spun, label)
+            for label in discords:
+                for split in range(n):
+                    try:
+                        yield transpose_discord(spun, label, split)
+                    except NotApplicable:
+                        pass
+            for start in range(n):
+                if block_at(spun, start) is not None:
+                    for dest in range(n):
+                        try:
+                            yield slide_block(spun, start, dest)
+                        except NotApplicable:
+                            pass
+            for a in discords:
+                for b in discords:
+                    if a != b:
+                        try:
+                            yield interleave_to_handle(spun, a, b)
+                        except NotApplicable:
+                            pass
+
+
+def _assert_same_neighbors(word):
+    expected = {w.canonical_key() for w in _every_rotation_neighbors(word)}
+    assert {w.canonical_key() for w in _orbit_neighbors(word)} == expected
+
+
+@given(words(max_pairs=3, max_singles=2))
+@settings(max_examples=100, deadline=None)
+def test_orbit_neighbors_match_every_rotation_reference(word):
+    _assert_same_neighbors(word)
+
+
+@pytest.mark.parametrize("text", ["a b a' b' x y z w", "a a b b x y z w", "a x b y a' z b' w"])
+def test_orbit_neighbors_of_eight_letter_words_match_reference(text):
+    _assert_same_neighbors(parse(text))

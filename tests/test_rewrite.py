@@ -264,6 +264,37 @@ class TestTraceAndReplay:
         with pytest.raises(ReplayMismatch):
             replay(parse("a a"), Trace([step]))
 
+    @pytest.mark.parametrize("params", [{"pos": "x"}, {}, {"pos": None}])
+    def test_replay_rejects_bad_params(self, params):
+        step = RewriteStep("cancel", params, parse("a a'"), parse(""))
+        with pytest.raises(ReplayMismatch):
+            replay(parse("a a'"), Trace([step]))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            '{"a": 1}',
+            "[1]",
+            '[{"rule": "cancel"}]',
+            '[{"rule": "cancel", "params": {"pos": 0}, "before": "a a\'", "after": 7}]',
+            '[{"rule": "cancel", "params": [], "before": "a a\'", "after": ""}]',
+            '[{"rule": "cancel", "params": {}, "before": "a", "after": "", "x": 0}]',
+        ],
+        ids=[
+            "object",
+            "foreign-object",
+            "int-step",
+            "missing-keys",
+            "int-word",
+            "list-params",
+            "extra-key",
+        ],
+    )
+    def test_from_json_rejects_a_malformed_trace(self, text):
+        with pytest.raises(ValueError):
+            Trace.from_json(text)
+
     def test_trace_slicing_and_accessors(self):
         trace = self._sample_trace()
         assert len(trace) == 2
