@@ -1,5 +1,7 @@
 """Normalization, normal forms, and the canonical word for each form."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,10 +11,15 @@ from surfword import (
     Trace,
     canonical_word,
     classify,
+    classify_by_invariants,
     equivalent,
     euler_characteristic,
+    family_iii,
+    family_iv,
+    family_v,
     normalize,
     parse,
+    random_word,
     replay,
 )
 
@@ -133,6 +140,50 @@ class TestNormalize:
     def test_trace_survives_json_round_trip(self, word):
         form, trace = normalize(word)
         assert replay(word, Trace.from_json(trace.to_json())) == replay(word, trace)
+
+
+# sha256 over the JSON traces of the criterion-3 corpus (10,000 words)
+# and the criterion-6 corpus (1,000 words), one trace per line.  They
+# pin every rule and parameter that normalize chooses, so a faster
+# normalizer must reproduce the same derivations.
+CRITERION_3_TRACES_SHA256 = "e46b59b262b7358c4f3fdb8d9442fb70eea3c5945304daec4eb89522288acacf"
+CRITERION_6_TRACES_SHA256 = "bc68faeb3924d017d34f63f76027a1fe3c27ccdead9a18015df56365146f6e53"
+
+
+def _traces_sha256(words) -> str:
+    digest = hashlib.sha256()
+    for word in words:
+        digest.update(normalize(word)[1].to_json().encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestPinnedTraces:
+    def test_criterion_3_corpus(self):
+        words = (random_word(seed % 11, (seed * 7) % 4, seed) for seed in range(10_000))
+        assert _traces_sha256(words) == CRITERION_3_TRACES_SHA256
+
+    def test_criterion_6_corpus(self):
+        words = (random_word(seed % 9, (seed * 3) % 4, seed) for seed in range(1_000))
+        assert _traces_sha256(words) == CRITERION_6_TRACES_SHA256
+
+
+LONG_WORDS = [
+    pytest.param(family(n), id=f"{family.__name__}({n})")
+    for n in (100, 250)
+    for family in (family_iii, family_iv, family_v)
+] + [
+    pytest.param(random_word(letters // 2 - 4, 8, letters), id=f"random({letters})")
+    for letters in (300, 600)
+]
+
+
+class TestLongWords:
+    @pytest.mark.parametrize("word", LONG_WORDS)
+    def test_agrees_with_the_oracle_and_replays(self, word):
+        form, trace = normalize(word)
+        assert form == classify_by_invariants(word)
+        assert replay(word, Trace.from_json(trace.to_json())) == trace.final_word()
 
 
 class TestEquivalent:
