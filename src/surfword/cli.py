@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from typing import Iterable
 
 from .invariants import invariants_summary, random_word
 from .normalform import NormalForm, normalize
-from .rewrite import Trace
 from .words import MultiplicityError, Word, WordSyntaxError
 
 _WORD_ERRORS = (WordSyntaxError, MultiplicityError)
@@ -39,17 +38,13 @@ def _emit_json(document: dict) -> None:
     print(json.dumps(document, indent=2))
 
 
-def _trace_json(trace: Trace) -> list[dict]:
-    return [step.to_dict() for step in trace]
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     word = Word.parse(args.word)
     form, trace = normalize(word)
     if args.json:
         document = {"word": word.render(), "normal_form": form.to_dict()}
         if args.trace:
-            document["trace"] = _trace_json(trace)
+            document["trace"] = trace.to_list()
         _emit_json(document)
     else:
         print(_form_line(form))
@@ -85,7 +80,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             {
                 "word": word.render(),
                 "normal_form": form.to_dict(),
-                "trace": _trace_json(trace),
+                "trace": trace.to_list(),
             }
         )
     else:
@@ -114,16 +109,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    if args.file == "-":
+        return _batch(sys.stdin, args.json)
     try:
-        if args.file == "-":
-            text = sys.stdin.read()
-        else:
-            text = Path(args.file).read_text()
+        # undecodable bytes become lone surrogates, as on stdin in UTF-8
+        # mode, so such a line is reported as an invalid word
+        lines = open(args.file, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    with lines:
+        return _batch(lines, args.json)
+
+
+def _batch(lines: Iterable[str], as_json: bool) -> int:
     any_failed = False
-    for line in text.splitlines():
+    for line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -131,13 +132,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             word = Word.parse(stripped)
         except _WORD_ERRORS as exc:
             any_failed = True
-            if args.json:
+            if as_json:
                 print(json.dumps({"word": stripped, "error": str(exc)}))
             else:
                 print(f"{stripped}: error: {exc}")
             continue
         form, _ = normalize(word)
-        if args.json:
+        if as_json:
             print(json.dumps({"word": word.render(), "normal_form": form.to_dict()}))
         else:
             print(f"{word.render()}: {_form_line(form)}")

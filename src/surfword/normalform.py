@@ -16,14 +16,20 @@ crosscaps, so ``p`` crosscaps and ``t`` handles give the nonorientable
 genus ``p + 2t`` when ``p > 0``, the orientable genus ``t`` when
 ``p == 0 < t``, and the sphere otherwise.  Boundary components equal
 the tallied holes.
+
+The stages search and edit a plain list of letter codes, not
+:class:`Word` values, and record each rewrite as its rule and
+parameters.  The returned :class:`Trace` keeps those moves with the
+initial and final words and builds the words between on demand, so
+:func:`classify` and :func:`equivalent` never build them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rewrite import RewriteStep, Trace, _cyclic_between, apply_step
-from .words import CONCORD, DISCORD, SINGLE, PairingTable, SignedLetter, Word
+from .rewrite import Trace
+from .words import SignedLetter, Word, label_sequence
 
 __all__ = [
     "NormalForm",
@@ -96,49 +102,92 @@ class NormalForm:
         return self.describe()
 
 
-def _first_concord(table: PairingTable) -> str | None:
-    for label in table:
-        if table.character(label) == CONCORD:
-            return label
+def _partners(cur: list[int]) -> list[int]:
+    """For each position, the position of the other occurrence of its
+    label; a single letter is its own partner."""
+    first = {cur[k] >> 1: k for k in range(len(cur) - 1, -1, -1)}
+    last = {code >> 1: k for k, code in enumerate(cur)}
+    return [j if (j := last[code >> 1]) != k else first[code >> 1] for k, code in enumerate(cur)]
+
+
+def _crosscap_site(cur: list[int]) -> tuple[int, int] | None:
+    """Stored positions of the concord pair whose label occurs first."""
+    last = {code >> 1: k for k, code in enumerate(cur)}
+    for i, code in enumerate(cur):
+        j = last[code >> 1]
+        if j > i and cur[j] == code:
+            return i, j
     return None
 
 
-def _first_interleaved(table: PairingTable) -> tuple[str, str] | None:
-    discords = [l for l in table if table.character(l) == DISCORD]
-    for a in discords:
-        for b in discords:
-            if b != a and table.interleaved(a, b):
-                return a, b
-    return None
+def _handle_site(partner: list[int]) -> tuple[int, int] | None:
+    """First occurrences of the interleaved pairs ``a`` and ``b``: ``a``
+    the first pair in label order that crosses another, ``b`` the first
+    pair that crosses ``a``.
 
-
-def _adjacent_singles(word: Word, table: PairingTable) -> int | None:
-    n = len(word)
-    if n < 2:
+    Scanning left to right with a stack of open pairs, a pair closing
+    below the top crosses every pair above it, and every crossing is
+    seen at the close of the pair that opened first.  Closed pairs left
+    inside the stack are popped once they reach the top.
+    """
+    stack: list[int] = []
+    closed = [False] * len(partner)
+    a1 = None
+    for k, p in enumerate(partner):
+        if p > k:
+            stack.append(k)
+        elif p < k:
+            while closed[stack[-1]]:
+                stack.pop()
+            if stack[-1] == p:
+                stack.pop()
+            else:
+                closed[p] = True
+                if a1 is None or p < a1:
+                    a1 = p
+    if a1 is None:
         return None
-    for pos in range(n):
-        if (
-            table.character(word[pos].label) == SINGLE
-            and table.character(word[(pos + 1) % n].label) == SINGLE
-        ):
-            return pos
+    a2 = partner[a1]
+    # a pair crossing a has one occurrence inside it; one that opened
+    # before a1 occurs first of all, else take the first that closes after a2
+    before = min(partner[a1 + 1 : a2])
+    if before < a1:
+        return a1, before
+    return a1, next(k for k in range(a1 + 1, a2) if partner[k] > a2)
+
+
+def _glue_site(partner: list[int]) -> int | None:
+    """First position holding a single letter followed cyclically by
+    another single letter."""
+    singles = [k for k, p in enumerate(partner) if k == p]
+    for k, nxt in zip(singles, singles[1:]):
+        if nxt == k + 1:
+            return k
+    if len(singles) >= 2 and singles[0] == 0 and singles[-1] == len(partner) - 1:
+        return singles[-1]
     return None
 
 
-def _innermost_pair(word: Word, table: PairingTable, paired: list[str]) -> tuple[str, int, int]:
-    """Find a pair with a pair-free arc; return (label, arc start, arc length).
+def _hole_site(partner: list[int]) -> tuple[int, int, int | None]:
+    """The first pair in label order with a pair-free arc, as its two
+    positions ``(first, second)`` in arc order and the arc's one single
+    letter, or None for an empty arc.
 
     In a word with no interleaved pairs the paired occurrences nest, so
     some pair encloses no other on one side.  After single letters have
     been merged, that arc holds at most one letter.
     """
-    n = len(word)
-    for label in paired:
-        i, j = table.positions(label)
+    n = len(partner)
+    for i, j in enumerate(partner):
+        if j <= i:
+            continue
         for first, second in ((i, j), (j, i)):
-            arc = _cyclic_between(n, first, second)
-            if all(table.character(word[k].label) == SINGLE for k in arc):
-                return label, first, len(arc)
+            arc = (second - first - 1) % n
+            if arc == 0:
+                return first, second, None
+            middle = (first + 1) % n
+            if arc == 1 and partner[middle] == middle:
+                return first, second, middle
     raise AssertionError("non-interleaved pairs must nest")
 
 
@@ -148,59 +197,80 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
     Returns the :class:`NormalForm` and the :class:`Trace` of every
     rewrite applied, chained from ``word`` down to the residual word
     (empty, or one single letter standing for the last hole).
-    """
-    steps: list[RewriteStep] = []
-    cur = word
 
-    def emit(rule: str, params: dict) -> None:
-        # only fold_concord and interleave_to_handle can return their input
-        nonlocal cur
-        out = apply_step(cur, rule, params)
-        if out != cur:
-            steps.append(RewriteStep(rule, params, cur, out))
-            cur = out
+    The stages work on a list of letter codes ``2 * id + inverted``
+    (``names[id]`` is the label) and record each rule as ``(rule,
+    params)``; the trace builds the words between only when they are
+    read.  A ``fold_concord`` or ``interleave_to_handle`` that would
+    return its input is not recorded.
+    """
+    names: list[str] = []
+    ids: dict[str, int] = {}
+    cur: list[int] = []
+    for letter in word:
+        if letter.label not in ids:
+            ids[letter.label] = len(names)
+            names.append(letter.label)
+        cur.append(2 * ids[letter.label] + letter.inverted)
+    moves: list[tuple[str, dict]] = []
 
     crosscaps = 0
-    while True:
-        table = cur.pairing()
-        label = _first_concord(table)
-        if label is None:
-            break
-        i, j = table.positions(label)
-        emit("fold_concord", {"label": label})
-        emit("hive_crosscap", {"pos": j - 1})
+    while (site := _crosscap_site(cur)) is not None:
+        i, j = site
+        if j > i + 1 or cur[i] & 1:
+            moves.append(("fold_concord", {"label": names[cur[i] >> 1]}))
+        moves.append(("hive_crosscap", {"pos": j - 1}))
+        cur[i : j + 1] = [code ^ 1 for code in reversed(cur[i + 1 : j])]
         crosscaps += 1
 
     handles = 0
     while True:
-        found = _first_interleaved(cur.pairing())
-        if found is None:
+        partner = _partners(cur)
+        site = _handle_site(partner)
+        if site is None:
             break
-        a, b = found
-        emit("interleave_to_handle", {"a": a, "b": b})
-        emit("hive_handle", {"pos": 0})
+        a1, b1 = site
+        a2, b2 = partner[a1], partner[b1]
+        b_in, b_out = (b1, b2) if a1 < b1 else (b2, b1)
+        if (a1, b_in, a2, b_out) != (0, 1, 2, 3):
+            moves.append(("interleave_to_handle", {"a": names[cur[a1] >> 1], "b": names[cur[b1] >> 1]}))
+        moves.append(("hive_handle", {"pos": 0}))
+        beta, gamma = cur[a1 + 1 : b_in], cur[b_in + 1 : a2]
+        if b_out > a2:
+            delta, tail = cur[a2 + 1 : b_out], cur[b_out + 1 :] + cur[:a1]
+        else:
+            delta, tail = cur[a2 + 1 :] + cur[:b_out], cur[b_out + 1 : a1]
+        cur = tail + delta + gamma + beta
         handles += 1
 
     holes = 0
     while True:
-        while True:
-            table = cur.pairing()
-            pos = _adjacent_singles(cur, table)
-            if pos is None:
-                break
-            emit("glue_singles", {"pos": pos})
-        table = cur.pairing()
-        paired = [l for l in table if table.character(l) != SINGLE]
-        if not paired:
-            if len(cur):
-                holes += 1
+        partner = _partners(cur)
+        pos = _glue_site(partner)
+        if pos is not None:
+            moves.append(("glue_singles", {"pos": pos}))
+            used = {names[code >> 1] for code in cur}
+            label = next(name for name in label_sequence() if name not in used)
+            if label not in ids:
+                ids[label] = len(names)
+                names.append(label)
+            if pos + 1 < len(cur):
+                cur[pos : pos + 2] = [2 * ids[label]]
+            else:
+                cur = cur[1:-1] + [2 * ids[label]]
+            continue
+        if len(cur) <= 1:
+            # no pair is left, and merging left at most one single letter
+            holes += len(cur)
             break
-        label, first, arc_len = _innermost_pair(cur, table, paired)
-        if arc_len == 0:
-            emit("cancel", {"pos": first})
+        first, second, middle = _hole_site(partner)
+        if middle is None:
+            moves.append(("cancel", {"pos": first}))
         else:
-            emit("hive_hole", {"label": label})
+            moves.append(("hive_hole", {"label": names[cur[first] >> 1]}))
             holes += 1
+        gone = {first, second, middle}
+        cur = [code for k, code in enumerate(cur) if k not in gone]
 
     if crosscaps:
         form = NormalForm("nonorientable", crosscaps + 2 * handles, holes)
@@ -208,7 +278,8 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
         form = NormalForm("orientable", handles, holes)
     else:
         form = NormalForm("sphere", 0, holes)
-    return form, Trace(steps)
+    final = Word(tuple(SignedLetter(names[code >> 1], bool(code & 1)) for code in cur))
+    return form, Trace.from_moves(word, moves, final)
 
 
 def classify(word: Word) -> NormalForm:

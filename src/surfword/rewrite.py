@@ -8,7 +8,11 @@ stored sequence and wrap cyclically where noted.
 Applied rules can be recorded as :class:`RewriteStep` values and chained
 into a :class:`Trace`.  A trace is an auditable derivation: replaying it
 with :func:`replay` recomputes every step from its parameters and
-verifies each intermediate word exactly.
+verifies each intermediate word exactly.  A trace can also be stored as
+its moves alone (:meth:`Trace.from_moves`, which ``normalize`` uses):
+the initial word, each ``(rule, params)`` and the final word.  Its
+intermediate words are then built on demand, once, when its steps are
+first read.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .words import CONCORD, DISCORD, SINGLE, SignedLetter, Word, fresh_label
+from .words import CONCORD, DISCORD, SignedLetter, Word, fresh_label
 
 __all__ = [
     "NotApplicable",
@@ -55,6 +59,21 @@ def _invert_run(letters: Iterable[SignedLetter]) -> tuple[SignedLetter, ...]:
     return tuple(l.inverse() for l in reversed(tuple(letters)))
 
 
+def _pair_positions(word: Word, label: str, character: str) -> tuple[int, int]:
+    """Stored positions of the pair ``label``, which must be of
+    ``character`` (:data:`CONCORD` or :data:`DISCORD`)."""
+    where = [k for k, letter in enumerate(word.letters) if letter.label == label]
+    if len(where) == 2:
+        i, j = where
+        if (word[i].inverted == word[j].inverted) == (character == CONCORD):
+            return i, j
+    raise NotApplicable(f"{label!r} is not a {character} pair")
+
+
+def _occurs_once(word: Word, label: str) -> bool:
+    return sum(letter.label == label for letter in word.letters) == 1
+
+
 def _cyclic_between(n: int, start: int, stop: int) -> list[int]:
     # indices strictly between start and stop, walking forward with wrap
     out = []
@@ -65,20 +84,25 @@ def _cyclic_between(n: int, start: int, stop: int) -> list[int]:
     return out
 
 
+def _delete_adjacent_pair(word: Word, pos: int, same_flags: bool, site: str, shape: str) -> Word:
+    # cancel and hive_crosscap differ only in the flag relation they want
+    n = len(word)
+    if n < 2 or not 0 <= pos < n:
+        raise NotApplicable(f"no {site} at position {pos}")
+    j = (pos + 1) % n
+    a, b = word[pos], word[j]
+    if a.label != b.label or (a.inverted == b.inverted) != same_flags:
+        raise NotApplicable(f"letters at {pos},{j} are not an adjacent {shape} pair")
+    return _delete(word, {pos, j})
+
+
 def cancel(word: Word, pos: int) -> Word:
     """Remove an adjacent inverse pair: ``... a a' ...`` becomes ``...``.
 
     The letters at cyclic positions ``pos`` and ``pos + 1`` must carry
     the same label with opposite flags (either order).
     """
-    n = len(word)
-    if n < 2 or not 0 <= pos < n:
-        raise NotApplicable(f"no adjacent pair at position {pos}")
-    j = (pos + 1) % n
-    a, b = word[pos], word[j]
-    if a.label != b.label or a.inverted == b.inverted:
-        raise NotApplicable(f"letters at {pos},{j} are not an adjacent inverse pair")
-    return _delete(word, {pos, j})
+    return _delete_adjacent_pair(word, pos, False, "adjacent pair", "inverse")
 
 
 def transpose_discord(word: Word, label: str, split: int) -> Word:
@@ -90,10 +114,7 @@ def transpose_discord(word: Word, label: str, split: int) -> Word:
     ``split`` may equal the position of the inverted occurrence, making
     ``beta2`` empty and the rule the identity.
     """
-    tab = word.pairing()
-    if label not in tab or tab.character(label) != DISCORD:
-        raise NotApplicable(f"{label!r} is not a discord pair")
-    i, j = tab.positions(label)
+    i, j = _pair_positions(word, label, DISCORD)
     if word[i].inverted:
         i, j = j, i
     n = len(word)
@@ -118,10 +139,7 @@ def fold_concord(word: Word, label: str) -> Word:
     run is the stored segment between them.  A pair written with both
     flags inverted folds the same way and comes out with positive flags.
     """
-    tab = word.pairing()
-    if label not in tab or tab.character(label) != CONCORD:
-        raise NotApplicable(f"{label!r} is not a concord pair")
-    i, j = tab.positions(label)
+    i, j = _pair_positions(word, label, CONCORD)
     head = word.letters[:i]
     mid = word.letters[i + 1 : j]
     tail = word.letters[j + 1 :]
@@ -186,13 +204,9 @@ def interleave_to_handle(word: Word, a: str, b: str) -> Word:
     """
     if a == b:
         raise NotApplicable("need two distinct labels")
-    tab = word.pairing()
-    for label in (a, b):
-        if label not in tab or tab.character(label) != DISCORD:
-            raise NotApplicable(f"{label!r} is not a discord pair")
+    a1, a2 = _pair_positions(word, a, DISCORD)
+    b1, b2 = _pair_positions(word, b, DISCORD)
     n = len(word)
-    a1, a2 = tab.positions(a)
-    b1, b2 = tab.positions(b)
     marks = {a2: "A", b1: "B", b2: "B"}
     segments: list[list[SignedLetter]] = [[]]
     seen: list[int] = []
@@ -219,8 +233,7 @@ def glue_singles(word: Word, pos: int) -> Word:
     if n < 2 or not 0 <= pos < n:
         raise NotApplicable(f"no adjacent singles at position {pos}")
     j = (pos + 1) % n
-    tab = word.pairing()
-    if tab.character(word[pos].label) != SINGLE or tab.character(word[j].label) != SINGLE:
+    if not (_occurs_once(word, word[pos].label) and _occurs_once(word, word[j].label)):
         raise NotApplicable(f"letters at {pos},{j} are not both single")
     merged = SignedLetter(fresh_label(word))
     out = [merged if k == pos else word[k] for k in range(n) if k != j]
@@ -234,14 +247,11 @@ def hive_hole(word: Word, label: str) -> Word:
     The arc following the first stored occurrence is preferred when both
     arcs qualify.  The caller accounts for the removed hole.
     """
-    tab = word.pairing()
-    if label not in tab or tab.character(label) != DISCORD:
-        raise NotApplicable(f"{label!r} is not a discord pair")
-    i, j = tab.positions(label)
+    i, j = _pair_positions(word, label, DISCORD)
     n = len(word)
     for first, second in ((i, j), (j, i)):
         arc = _cyclic_between(n, first, second)
-        if len(arc) == 1 and tab.character(word[arc[0]].label) == SINGLE:
+        if len(arc) == 1 and _occurs_once(word, word[arc[0]].label):
             return _delete(word, {first, second, arc[0]})
     raise NotApplicable(f"pair {label!r} does not frame one single letter")
 
@@ -251,14 +261,7 @@ def hive_crosscap(word: Word, pos: int) -> Word:
 
     The caller accounts for the removed crosscap.
     """
-    n = len(word)
-    if n < 2 or not 0 <= pos < n:
-        raise NotApplicable(f"no block at position {pos}")
-    j = (pos + 1) % n
-    a, b = word[pos], word[j]
-    if a.label != b.label or a.inverted != b.inverted:
-        raise NotApplicable(f"letters at {pos},{j} are not an adjacent concord pair")
-    return _delete(word, {pos, j})
+    return _delete_adjacent_pair(word, pos, True, "block", "concord")
 
 
 def hive_handle(word: Word, pos: int) -> Word:
@@ -352,9 +355,15 @@ class Trace:
 
     Invariant: each step's ``before`` equals the previous step's
     ``after``.  Serializes to a JSON array of step objects.
+
+    A trace made by :meth:`from_moves` stores only its initial word, its
+    ``(rule, params)`` moves and its final word.  Its steps, with the
+    words between, are built through :func:`apply_step` the first time
+    they are read, and the build checks that the moves reach the final
+    word.
     """
 
-    __slots__ = ("_steps",)
+    __slots__ = ("_initial", "_moves", "_final", "_steps")
 
     def __init__(self, steps: Iterable[RewriteStep] = ()):
         steps = tuple(steps)
@@ -364,41 +373,70 @@ class Trace:
                     f"steps do not chain: {prev.after.render()!r} != {nxt.before.render()!r}"
                 )
         self._steps = steps
+        self._moves = tuple((step.rule, step.params) for step in steps)
+        self._initial = steps[0].before if steps else None
+        self._final = steps[-1].after if steps else None
+
+    @classmethod
+    def from_moves(cls, initial: Word, moves: Iterable[tuple[str, dict]], final: Word) -> "Trace":
+        """A trace of ``moves`` applied from ``initial``, which the caller
+        states reach ``final``; its steps are built when first read."""
+        trace = cls()
+        trace._moves = tuple(moves)
+        if trace._moves:
+            trace._initial, trace._final, trace._steps = initial, final, None
+        return trace
 
     @property
     def steps(self) -> tuple[RewriteStep, ...]:
+        if self._steps is None:
+            steps = []
+            word = self._initial
+            for rule, params in self._moves:
+                after = apply_step(word, rule, params)
+                steps.append(RewriteStep(rule, params, word, after))
+                word = after
+            if word != self._final:
+                raise AssertionError(
+                    f"moves reach {word.render()!r}, not the final word {self._final.render()!r}"
+                )
+            self._steps = tuple(steps)
         return self._steps
 
     def __len__(self) -> int:
-        return len(self._steps)
+        return len(self._moves)
 
     def __iter__(self) -> Iterator[RewriteStep]:
-        return iter(self._steps)
+        return iter(self.steps)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Trace(self._steps[index])
-        return self._steps[index]
+            return Trace(self.steps[index])
+        return self.steps[index]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return self._steps == other._steps
+        return self.steps == other.steps
 
     def __repr__(self) -> str:
-        return f"<Trace of {len(self._steps)} steps>"
+        return f"<Trace of {len(self)} steps>"
 
     def initial_word(self) -> Word | None:
-        return self._steps[0].before if self._steps else None
+        return self._initial
 
     def final_word(self) -> Word | None:
-        return self._steps[-1].after if self._steps else None
+        return self._final
 
     def describe(self) -> str:
-        return "\n".join(step.describe() for step in self._steps)
+        return "\n".join(step.describe() for step in self.steps)
+
+    def to_list(self) -> list[dict]:
+        """The steps as the JSON-ready objects of :meth:`to_json`."""
+        return [step.to_dict() for step in self.steps]
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps([step.to_dict() for step in self._steps], indent=indent)
+        return json.dumps(self.to_list(), indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from string import ascii_lowercase
 from typing import Iterator
@@ -87,13 +88,22 @@ class SignedLetter:
             raise WordSyntaxError(f"bad edge label {self.label!r}")
 
     def inverse(self) -> "SignedLetter":
-        return SignedLetter(self.label, not self.inverted)
+        return _checked_letter(self.label, not self.inverted)
 
     def token(self) -> str:
         return self.label + ("'" if self.inverted else "")
 
     def __str__(self) -> str:
         return self.token()
+
+
+def _checked_letter(label: str, inverted: bool) -> SignedLetter:
+    """A letter whose label already matched :data:`_NAME_RE`, made
+    without matching it again."""
+    letter = object.__new__(SignedLetter)
+    object.__setattr__(letter, "label", label)
+    object.__setattr__(letter, "inverted", inverted)
+    return letter
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,20 +219,20 @@ class Word:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
-        counts: dict[str, int] = {}
-        for letter in self.letters:
-            counts[letter.label] = counts.get(letter.label, 0) + 1
-        bad = sorted(label for label, c in counts.items() if c > 2)
-        if bad:
+        counts = Counter([letter.label for letter in self.letters])
+        if max(counts.values(), default=0) > 2:
+            bad = sorted(label for label, c in counts.items() if c > 2)
             raise MultiplicityError(f"labels occur more than twice: {', '.join(bad)}")
 
     @classmethod
     def parse(cls, text: str) -> "Word":
         tokens = _tokenize(text)
-        return cls(tuple(SignedLetter(t.rstrip("'"), t.endswith("'")) for t in tokens))
+        # every token matched _TOKEN_RE, so its label matches _NAME_RE
+        return cls(tuple(_checked_letter(t.rstrip("'"), t.endswith("'")) for t in tokens))
 
     def render(self) -> str:
-        return " ".join(letter.token() for letter in self.letters)
+        return " ".join([letter.label + "'" if letter.inverted else letter.label
+                         for letter in self.letters])
 
     def __str__(self) -> str:
         return self.render()

@@ -183,6 +183,18 @@ class TestBatch:
         assert documents[0]["normal_form"]["kind"] == "nonorientable"
         assert "error" in documents[2]
 
+    def test_undecodable_line_is_an_invalid_word(self, capsys, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"a a\n\xff\xfe b b\nx\n")
+        code, out, _ = run(capsys, "batch", "--json", str(path))
+        assert code == 1
+        documents = [json.loads(line) for line in out.splitlines()]
+        assert [sorted(document) for document in documents] == [
+            ["normal_form", "word"],
+            ["error", "word"],
+            ["normal_form", "word"],
+        ]
+
     def test_missing_file_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "batch", "/no/such/file")
         assert code == 2

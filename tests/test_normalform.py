@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+import surfword.rewrite
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -184,6 +185,19 @@ class TestLongWords:
         form, trace = normalize(word)
         assert form == classify_by_invariants(word)
         assert replay(word, Trace.from_json(trace.to_json())) == trace.final_word()
+
+    def test_classify_builds_no_intermediate_word(self, monkeypatch):
+        def refuse(word, rule, params=None):
+            raise RuntimeError(f"{rule} applied")
+
+        monkeypatch.setattr(surfword.rewrite, "apply_step", refuse)
+        word = random_word(490, 20, 1000)
+        assert len(word) == 1000
+        assert classify(word) == classify_by_invariants(word)
+        form, trace = normalize(word)
+        assert trace.initial_word() == word and len(trace) > 500
+        with pytest.raises(RuntimeError):
+            trace.to_json()
 
 
 class TestEquivalent:

@@ -295,6 +295,19 @@ class TestTraceAndReplay:
         with pytest.raises(ValueError):
             Trace.from_json(text)
 
+    def test_trace_from_moves_builds_its_steps_when_read(self):
+        moves = [("fold_concord", {"label": "b"}), ("hive_crosscap", {"pos": 2})]
+        trace = Trace.from_moves(parse("a b a' b"), moves, parse("a a"))
+        assert len(trace) == 2
+        assert trace == self._sample_trace()
+        assert Trace.from_json(trace.to_json()) == trace
+
+    def test_trace_from_moves_checks_the_final_word(self):
+        trace = Trace.from_moves(parse("a a' x"), [("cancel", {"pos": 0})], parse("y"))
+        assert trace.final_word() == parse("y")
+        with pytest.raises(AssertionError):
+            list(trace)
+
     def test_trace_slicing_and_accessors(self):
         trace = self._sample_trace()
         assert len(trace) == 2
@@ -325,3 +338,17 @@ def test_rules_never_partially_rewrite(rule):
     except NotApplicable:
         pass
     assert word == parse("a x b a' y")
+
+
+@pytest.mark.parametrize(
+    "rule, text, message",
+    [
+        (cancel, "a", "no adjacent pair at position 0"),
+        (cancel, "a a", "letters at 0,1 are not an adjacent inverse pair"),
+        (hive_crosscap, "a", "no block at position 0"),
+        (hive_crosscap, "a a'", "letters at 0,1 are not an adjacent concord pair"),
+    ],
+)
+def test_adjacent_pair_rules_name_what_is_missing(rule, text, message):
+    with pytest.raises(NotApplicable, match=f"^{message}$"):
+        rule(parse(text), 0)
