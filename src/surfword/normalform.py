@@ -233,7 +233,8 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
         a2, b2 = partner[a1], partner[b1]
         b_in, b_out = (b1, b2) if a1 < b1 else (b2, b1)
         if (a1, b_in, a2, b_out) != (0, 1, 2, 3):
-            moves.append(("interleave_to_handle", {"a": names[cur[a1] >> 1], "b": names[cur[b1] >> 1]}))
+            a, b = names[cur[a1] >> 1], names[cur[b1] >> 1]
+            moves.append(("interleave_to_handle", {"a": a, "b": b}))
         moves.append(("hive_handle", {"pos": 0}))
         beta, gamma = cur[a1 + 1 : b_in], cur[b_in + 1 : a2]
         if b_out > a2:
