@@ -122,8 +122,8 @@ def _crosscap_site(cur: list[int]) -> tuple[int, int] | None:
 
 def _handle_site(partner: list[int]) -> tuple[int, int] | None:
     """First occurrences of the interleaved pairs ``a`` and ``b``: ``a``
-    the first pair in label order that crosses another, ``b`` the first
-    pair that crosses ``a``.
+    the first pair, in order of first occurrence, that crosses another,
+    and ``b`` the first pair that crosses ``a``.
 
     Scanning left to right with a stack of open pairs, a pair closing
     below the top crosses every pair above it, and every crossing is
@@ -169,9 +169,9 @@ def _glue_site(partner: list[int]) -> int | None:
 
 
 def _hole_site(partner: list[int]) -> tuple[int, int, int | None]:
-    """The first pair in label order with a pair-free arc, as its two
-    positions ``(first, second)`` in arc order and the arc's one single
-    letter, or None for an empty arc.
+    """The first pair, in order of first occurrence, with a pair-free
+    arc: its two positions ``(first, second)`` in arc order and the
+    arc's one single letter, or None for an empty arc.
 
     In a word with no interleaved pairs the paired occurrences nest, so
     some pair encloses no other on one side.  After single letters have

@@ -328,9 +328,13 @@ class RewriteStep:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RewriteStep":
+    def from_dict(cls, data: dict, parsed: dict[str, Word] | None = None) -> "RewriteStep":
         """Rebuild a step from :meth:`to_dict` output; raises
-        :class:`ValueError` on any other shape or an unparsable word."""
+        :class:`ValueError` on any other shape or an unparsable word.
+
+        ``parsed`` maps word texts to words already parsed from them and
+        gains the words parsed here, so a trace parses each word once.
+        """
         if not (
             isinstance(data, dict)
             and data.keys() == _STEP_KEYS
@@ -338,11 +342,15 @@ class RewriteStep:
             and all(isinstance(data[k], str) for k in ("rule", "before", "after"))
         ):
             raise ValueError("trace step wants strings rule, before, after and an object params")
+        parsed = {} if parsed is None else parsed
+        for text in (data["before"], data["after"]):
+            if text not in parsed:
+                parsed[text] = Word.parse(text)
         return cls(
             rule=data["rule"],
             params=dict(data["params"]),
-            before=Word.parse(data["before"]),
-            after=Word.parse(data["after"]),
+            before=parsed[data["before"]],
+            after=parsed[data["after"]],
         )
 
     def describe(self) -> str:
@@ -445,7 +453,8 @@ class Trace:
         data = json.loads(text)
         if not isinstance(data, list):
             raise ValueError("a trace must be a JSON array of steps")
-        return cls(RewriteStep.from_dict(item) for item in data)
+        parsed: dict[str, Word] = {}
+        return cls(RewriteStep.from_dict(item, parsed) for item in data)
 
 
 def replay(word: Word, trace: Trace) -> Word:

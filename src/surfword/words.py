@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass
 from string import ascii_lowercase
 from typing import Iterator
@@ -219,9 +218,11 @@ class Word:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
-        counts = Counter([letter.label for letter in self.letters])
-        if max(counts.values(), default=0) > 2:
-            bad = sorted(label for label, c in counts.items() if c > 2)
+        counts: dict[str, int] = {}
+        for letter in self.letters:
+            counts[letter.label] = counts.get(letter.label, 0) + 1
+        bad = sorted(label for label, c in counts.items() if c > 2)
+        if bad:
             raise MultiplicityError(f"labels occur more than twice: {', '.join(bad)}")
 
     @classmethod
