@@ -206,12 +206,14 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
     """
     names: list[str] = []
     ids: dict[str, int] = {}
-    cur: list[int] = []
-    for letter in word:
-        if letter.label not in ids:
-            ids[letter.label] = len(names)
-            names.append(letter.label)
-        cur.append(2 * ids[letter.label] + letter.inverted)
+
+    def upright(label: str) -> int:
+        if label not in ids:
+            ids[label] = len(names)
+            names.append(label)
+        return 2 * ids[label]
+
+    cur = [upright(letter.label) + letter.inverted for letter in word]
     moves: list[tuple[str, dict]] = []
 
     crosscaps = 0
@@ -251,14 +253,11 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
         if pos is not None:
             moves.append(("glue_singles", {"pos": pos}))
             used = {names[code >> 1] for code in cur}
-            label = next(name for name in label_sequence() if name not in used)
-            if label not in ids:
-                ids[label] = len(names)
-                names.append(label)
+            merged = upright(next(name for name in label_sequence() if name not in used))
             if pos + 1 < len(cur):
-                cur[pos : pos + 2] = [2 * ids[label]]
+                cur[pos : pos + 2] = [merged]
             else:
-                cur = cur[1:-1] + [2 * ids[label]]
+                cur = cur[1:-1] + [merged]
             continue
         if len(cur) <= 1:
             # no pair is left, and merging left at most one single letter

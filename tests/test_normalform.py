@@ -3,10 +3,10 @@
 import hashlib
 
 import pytest
-import surfword.rewrite
 from hypothesis import given
 from hypothesis import strategies as st
 
+import surfword.rewrite
 from surfword import (
     NormalForm,
     Trace,
@@ -146,7 +146,8 @@ class TestNormalize:
 # sha256 over the JSON traces of the criterion-3 corpus (10,000 words)
 # and the criterion-6 corpus (1,000 words), one trace per line.  They
 # pin every rule and parameter that normalize chooses, so a faster
-# normalizer must reproduce the same derivations.
+# normalizer must reproduce the same derivations.  They were computed
+# with the Word-based normalizer that the list-based search replaced.
 CRITERION_3_TRACES_SHA256 = "e46b59b262b7358c4f3fdb8d9442fb70eea3c5945304daec4eb89522288acacf"
 CRITERION_6_TRACES_SHA256 = "bc68faeb3924d017d34f63f76027a1fe3c27ccdead9a18015df56365146f6e53"
 
