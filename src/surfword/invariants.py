@@ -21,7 +21,6 @@ from typing import Iterator
 
 from .normalform import NormalForm
 from .rewrite import (
-    NotApplicable,
     block_at,
     cancel,
     fold_concord,
@@ -290,10 +289,16 @@ def _orbit_neighbors(word: Word) -> Iterator[Word]:
     """All words one rule application away from ``word``, read from the
     word and from its inversion.
 
-    ``cancel``, ``transpose_discord`` and ``slide_block`` read their
-    sites cyclically, so one reading finds every site.  ``fold_concord``
-    and ``interleave_to_handle`` start from the first stored occurrence
-    of a label, so those two also run from the rotations that put each
+    Each rule is called only at the sites where it applies, so none
+    raises :class:`NotApplicable`: ``cancel`` where two adjacent letters
+    carry one label with opposite flags, ``transpose_discord`` at the
+    splits from just after the upright occurrence through the inverted
+    one, ``slide_block`` at the destinations outside the block, and
+    ``interleave_to_handle`` for interleaved pairs.  ``cancel``,
+    ``transpose_discord`` and ``slide_block`` read their sites
+    cyclically, so one reading finds every site.  ``fold_concord`` and
+    ``interleave_to_handle`` start from the first stored occurrence of a
+    label, so those two also run from the rotations that put each
     occurrence of that label first.  The same neighbor can come out
     more than once; :func:`bfs_orbit` deduplicates by key.
     """
@@ -301,27 +306,31 @@ def _orbit_neighbors(word: Word) -> Iterator[Word]:
     if n == 0:
         return
     for base in (word, word.invert()):
+        letters = base.letters
         table = base.pairing()
         discords = table.with_character(DISCORD)
         for pos in range(n):
-            try:
+            here, after = letters[pos], letters[(pos + 1) % n]
+            if here.label == after.label and here.inverted != after.inverted:
                 yield cancel(base, pos)
-            except NotApplicable:
-                pass
         for label in discords:
-            for split in range(n):
-                try:
-                    yield transpose_discord(base, label, split)
-                except NotApplicable:
-                    pass
+            up, down = table.positions(label)
+            if letters[up].inverted:
+                up, down = down, up
+            if up < down:
+                splits = range(up + 1, down + 1)
+            else:
+                splits = itertools.chain(range(down + 1), range(up + 1, n))
+            for split in splits:
+                yield transpose_discord(base, label, split)
         for start in range(n):
-            if block_at(base, start) is None:
+            found = block_at(base, start)
+            if found is None:
                 continue
+            occupied = {(start + k) % n for k in range(found[0])}
             for dest in range(n):
-                try:
+                if dest not in occupied:
                     yield slide_block(base, start, dest)
-                except NotApplicable:
-                    pass
         for label in table.with_character(CONCORD):
             for p in table.positions(label):
                 yield fold_concord(base.rotate(p), label)
@@ -329,12 +338,8 @@ def _orbit_neighbors(word: Word) -> Iterator[Word]:
             for p in table.positions(a):
                 spun = base.rotate(p)
                 for b in discords:
-                    if a == b:
-                        continue
-                    try:
+                    if table.interleaved(a, b):
                         yield interleave_to_handle(spun, a, b)
-                    except NotApplicable:
-                        pass
 
 
 def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None = None) -> Orbit:

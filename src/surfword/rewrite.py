@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .words import CONCORD, DISCORD, SignedLetter, Word, fresh_label
+from .words import CONCORD, DISCORD, SignedLetter, Word, _checked_word, fresh_label
 
 __all__ = [
     "NotApplicable",
@@ -52,7 +52,7 @@ class ReplayMismatch(RuntimeError):
 
 
 def _delete(word: Word, positions: set[int]) -> Word:
-    return Word(tuple(l for i, l in enumerate(word.letters) if i not in positions))
+    return _checked_word(tuple(l for i, l in enumerate(word.letters) if i not in positions))
 
 
 def _invert_run(letters: Iterable[SignedLetter]) -> tuple[SignedLetter, ...]:
@@ -127,7 +127,7 @@ def transpose_discord(word: Word, label: str, split: int) -> Word:
     out = list(word.letters)
     for k, letter in zip(between, moved):
         out[k] = letter
-    return Word(tuple(out))
+    return _checked_word(tuple(out))
 
 
 def fold_concord(word: Word, label: str) -> Word:
@@ -144,7 +144,7 @@ def fold_concord(word: Word, label: str) -> Word:
     mid = word.letters[i + 1 : j]
     tail = word.letters[j + 1 :]
     upright = SignedLetter(label)
-    return Word(head + _invert_run(mid) + (upright, upright) + tail)
+    return _checked_word(head + _invert_run(mid) + (upright, upright) + tail)
 
 
 def block_at(word: Word, pos: int) -> tuple[int, tuple[SignedLetter, ...]] | None:
@@ -154,14 +154,15 @@ def block_at(word: Word, pos: int) -> tuple[int, tuple[SignedLetter, ...]] | Non
     ``(4, letters)`` for a handle block ``x y x' y'``, else ``None``.
     In a valid word the two shapes cannot start at the same position.
     """
-    n = len(word)
+    letters = word.letters
+    n = len(letters)
     if n < 2:
         return None
-    a, b = word[pos], word[(pos + 1) % n]
+    a, b = letters[pos], letters[(pos + 1) % n]
     if a.label == b.label and a.inverted == b.inverted:
         return 2, (a, b)
     if n >= 4 and a.label != b.label:
-        c, d = word[(pos + 2) % n], word[(pos + 3) % n]
+        c, d = letters[(pos + 2) % n], letters[(pos + 3) % n]
         if c == a.inverse() and d == b.inverse():
             return 4, (a, b, c, d)
     return None
@@ -190,7 +191,7 @@ def slide_block(word: Word, block_start: int, dest: int) -> Word:
             out.extend(block)
         if idx not in occupied:
             out.append(word[idx])
-    return Word(tuple(out))
+    return _checked_word(tuple(out))
 
 
 def interleave_to_handle(word: Word, a: str, b: str) -> Word:
@@ -224,7 +225,7 @@ def interleave_to_handle(word: Word, a: str, b: str) -> Word:
     x = word[a1]
     y = word[seen[0]]
     out = (x, y, x.inverse(), y.inverse())
-    return Word(out + tuple(tail) + tuple(delta) + tuple(gamma) + tuple(beta))
+    return _checked_word(out + tuple(tail) + tuple(delta) + tuple(gamma) + tuple(beta))
 
 
 def glue_singles(word: Word, pos: int) -> Word:
@@ -237,7 +238,7 @@ def glue_singles(word: Word, pos: int) -> Word:
         raise NotApplicable(f"letters at {pos},{j} are not both single")
     merged = SignedLetter(fresh_label(word))
     out = [merged if k == pos else word[k] for k in range(n) if k != j]
-    return Word(tuple(out))
+    return _checked_word(tuple(out))
 
 
 def hive_hole(word: Word, label: str) -> Word:

@@ -105,6 +105,14 @@ def _checked_letter(label: str, inverted: bool) -> SignedLetter:
     return letter
 
 
+def _checked_word(letters: tuple[SignedLetter, ...]) -> "Word":
+    """A word made from a tuple in which no label occurs more than
+    twice, without counting the labels again."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 @dataclass(frozen=True, slots=True)
 class PairEntry:
     """Occurrence data for one label: positions and pairing character."""
@@ -186,8 +194,8 @@ def _tokenize(text: str) -> list[str]:
     stripped = text.strip()
     if not stripped:
         return []
-    if any(ch.isspace() for ch in stripped):
-        tokens = stripped.split()
+    tokens = stripped.split()
+    if len(tokens) > 1:
         for tok in tokens:
             if not _TOKEN_RE.fullmatch(tok):
                 raise WordSyntaxError(f"bad token {tok!r}")
@@ -249,7 +257,7 @@ class Word:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Word(self.letters[index])
+            return _checked_word(self.letters[index])
         return self.letters[index]
 
     def labels(self) -> tuple[str, ...]:
@@ -268,7 +276,7 @@ class Word:
         if n == 0:
             return self
         k %= n
-        return Word(self.letters[k:] + self.letters[:k])
+        return _checked_word(self.letters[k:] + self.letters[:k])
 
     def invert(self) -> "Word":
         """Reverse the reading direction: reverse order, flip all flags.
@@ -276,7 +284,7 @@ class Word:
         >>> str(Word.parse("a b").invert())
         "b' a'"
         """
-        return Word(tuple(letter.inverse() for letter in reversed(self.letters)))
+        return _checked_word(tuple(letter.inverse() for letter in reversed(self.letters)))
 
     def pairing(self) -> PairingTable:
         positions: dict[str, list[int]] = {}
@@ -294,22 +302,41 @@ class Word:
         return PairingTable(entries)
 
     def canonical_key(self, up_to_relabel: bool = False) -> tuple:
-        """A key equal for two words iff they are cyclically equal."""
-        n = len(self)
+        """A key equal for two words iff they are cyclically equal, in
+        time linear in the length.
+
+        The key is the least rotation of the word or of its inverse,
+        whichever is smaller, with each letter read as ``(label,
+        inverted)``.  Up to relabelling, position ``k`` reads as ``(gap,
+        inverted)`` instead, where ``gap`` is the forward cyclic distance
+        from ``k`` to the other occurrence of its label, or 0 for a
+        single letter; rotating the word rotates these gaps, and
+        renaming labels leaves them alone.
+
+        >>> word = Word.parse("a b' c a' c")
+        >>> word.canonical_key() == word.invert().rotate(2).canonical_key()
+        True
+        >>> word.canonical_key() == Word.parse("x y' z x' z").canonical_key()
+        False
+        >>> word.canonical_key(True) == Word.parse("x y' z x' z").canonical_key(True)
+        True
+        """
+        n = len(self.letters)
         if n == 0:
             return ()
-        best = None
-        for base in (self.letters, self.invert().letters):
-            for r in range(n):
-                rot = base[r:] + base[:r]
-                if up_to_relabel:
-                    ids: dict[str, int] = {}
-                    enc = tuple((ids.setdefault(l.label, len(ids)), l.inverted) for l in rot)
-                else:
-                    enc = tuple((l.label, l.inverted) for l in rot)
-                if best is None or enc < best:
-                    best = enc
-        return best
+        if up_to_relabel:
+            first: dict[str, int] = {}
+            gaps = [0] * n
+            for k, letter in enumerate(self.letters):
+                p = first.setdefault(letter.label, k)
+                if p != k:
+                    gaps[p], gaps[k] = k - p, n - k + p
+            forward = [(g, letter.inverted) for g, letter in zip(gaps, self.letters)]
+            backward = [((n - g) % n, not inv) for g, inv in reversed(forward)]
+        else:
+            forward = [(letter.label, letter.inverted) for letter in self.letters]
+            backward = [(label, not inv) for label, inv in reversed(forward)]
+        return min(_least_rotation(forward), _least_rotation(backward))
 
     def cyclic_equal(self, other: "Word", up_to_relabel: bool = False) -> bool:
         """Equality up to rotation and inversion, optionally up to a
@@ -323,6 +350,34 @@ class Word:
         if len(self) != len(other):
             return False
         return self.canonical_key(up_to_relabel) == other.canonical_key(up_to_relabel)
+
+
+def _least_rotation(seq: list) -> tuple:
+    """The least rotation of ``seq`` as a tuple, by the two-pointer scan.
+
+    ``i`` and ``j`` are two candidate starts and ``k`` the length of
+    their common prefix.  At the first difference the larger candidate
+    is ruled out, and so is every start within ``k`` after it.  Every
+    pass raises ``i + j + k``, so the scan makes fewer than
+    ``3 * len(seq)`` passes.
+    """
+    n = len(seq)
+    doubled = seq + seq
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    return tuple(doubled[start : start + n])
 
 
 def parse(text: str) -> Word:

@@ -1,8 +1,10 @@
 """The independent classification route: corner complex, boundary
 tracing, families, random words, and orbits."""
 
+import hashlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfword import (
@@ -33,6 +35,7 @@ from surfword import (
     slide_block,
     transpose_discord,
 )
+import surfword.invariants
 from surfword.invariants import _orbit_neighbors
 
 from conftest import relabeled, words
@@ -286,3 +289,51 @@ def test_orbit_neighbors_match_every_rotation_reference(word):
 @pytest.mark.parametrize("text", ["a b a' b' x y z w", "a a b b x y z w", "a x b y a' z b' w"])
 def test_orbit_neighbors_of_eight_letter_words_match_reference(text):
     _assert_same_neighbors(parse(text))
+
+
+# sha256 over the sorted renders of each orbit's members, computed before
+# the orbit search listed rule sites directly; the members are the words
+# at which the search first reached each class.
+ORBIT_DIGESTS = {
+    "a b a' b' x y z w": "175ee5d7a70ee34e65b9c712c1b72cea21c7f27934566056be2a90862e15469c",
+    "a a b b x y z w": "faefb0b7d0fb9a4f8291749ee034f93ea2234165bd60a3d53a222aac1e1cdcba",
+    "a x b y a' z b' w": "5204f7ce58b58733784180b957a13637e439af6fa371901b097a7a65dbd3f0cc",
+    "a b a b": "d9d22b55bf8e3c4932ad3ae25ee3657562bd783a5614ea774403d1fb7db5e729",
+}
+
+
+@pytest.mark.parametrize("text", sorted(ORBIT_DIGESTS))
+def test_orbit_members_are_pinned(text):
+    orbit = bfs_orbit(parse(text))
+    assert not orbit.truncated
+    renders = "\n".join(sorted(member.render() for member in orbit.words))
+    assert hashlib.sha256(renders.encode()).hexdigest() == ORBIT_DIGESTS[text]
+
+
+_SITE_RULES = ("cancel", "transpose_discord", "fold_concord", "slide_block", "interleave_to_handle")
+
+
+@given(words(max_pairs=4, max_singles=2))
+@example(parse("a b a' b' x y z w"))
+@example(parse("a a b b x y z w"))
+@example(parse("a x b y a' z b' w"))
+@settings(max_examples=100, deadline=None)
+def test_orbit_neighbors_call_rules_only_where_they_apply(word):
+    calls = []
+
+    def strict(rule):
+        def call(*args):
+            calls.append(rule.__name__)
+            try:
+                return rule(*args)
+            except NotApplicable as exc:
+                raise AssertionError(f"{rule.__name__}{args[1:]} on {args[0]}: {exc}") from exc
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in _SITE_RULES:
+            patch.setattr(surfword.invariants, name, strict(getattr(surfword.invariants, name)))
+        neighbors = list(_orbit_neighbors(word))
+    # every neighbor came through a patched rule
+    assert len(calls) == len(neighbors)

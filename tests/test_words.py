@@ -1,7 +1,7 @@
 """Word grammar, cyclic semantics, and the pairing table."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfword import (
@@ -15,9 +15,11 @@ from surfword import (
     fresh_label,
     label_sequence,
     parse,
+    random_word,
 )
 
 from conftest import relabeled, words
+from test_acceptance import _every_word_over_three_labels
 
 
 class TestParse:
@@ -57,6 +59,11 @@ class TestParse:
     def test_rejects_more_than_two_occurrences(self, text):
         with pytest.raises(MultiplicityError):
             parse(text)
+
+    def test_constructor_rejects_more_than_two_occurrences(self):
+        letter = SignedLetter("a")
+        with pytest.raises(MultiplicityError):
+            Word((letter, letter.inverse(), letter))
 
     def test_render_is_spaced(self):
         assert parse("aba'b'").render() == "a b a' b'"
@@ -138,6 +145,53 @@ class TestCyclicStructure:
             word.letters = ()
         assert word == parse("a b")
         assert hash(word) == hash(parse("a b"))
+
+
+def _reference_key(word, up_to_relabel=False):
+    """The quadratic key: the least encoding over all 2n rotations of
+    the word and of its inversion, relabelled by first occurrence."""
+    best = None
+    for base in (word.letters, word.invert().letters):
+        for r in range(len(base)):
+            rot = base[r:] + base[:r]
+            if up_to_relabel:
+                ids = {}
+                enc = tuple((ids.setdefault(l.label, len(ids)), l.inverted) for l in rot)
+            else:
+                enc = tuple((l.label, l.inverted) for l in rot)
+            if best is None or enc < best:
+                best = enc
+    return () if best is None else best
+
+
+class TestCanonicalKey:
+    @given(
+        words(max_pairs=6, max_singles=2),
+        words(max_pairs=6, max_singles=2),
+        st.integers(-12, 12),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_key_equality_matches_the_reference(self, first, second, k, up_to_relabel):
+        spun = second.invert().rotate(k)
+        for other in (second, spun, first.invert().rotate(k), relabeled(first).rotate(k)):
+            same = first.canonical_key(up_to_relabel) == other.canonical_key(up_to_relabel)
+            expected = _reference_key(first, up_to_relabel) == _reference_key(other, up_to_relabel)
+            assert same == expected, (first.render(), other.render())
+
+    def test_class_counts_of_the_three_label_enumeration(self):
+        every = list(_every_word_over_three_labels())
+        assert len({word.canonical_key() for word in every}) == 949
+        assert len({word.canonical_key(up_to_relabel=True) for word in every}) == 187
+
+    def test_long_word(self):
+        word = random_word(990, 20, 5)
+        assert len(word) == 2000
+        assert word.canonical_key() == word.invert().rotate(777).canonical_key()
+        assert word.canonical_key(True) == relabeled(word).rotate(-41).canonical_key(True)
+        flipped = Word((word[0].inverse(),) + word.letters[1:])
+        for up_to_relabel in (False, True):
+            assert flipped.canonical_key(up_to_relabel) != word.canonical_key(up_to_relabel)
 
 
 class TestPairing:
