@@ -173,8 +173,8 @@ class TestCanonicalKey:
     )
     @settings(max_examples=300)
     def test_key_equality_matches_the_reference(self, first, second, k, up_to_relabel):
-        spun = second.invert().rotate(k)
-        for other in (second, spun, first.invert().rotate(k), relabeled(first).rotate(k)):
+        rotated_inversions = (second.invert().rotate(k), first.invert().rotate(k))
+        for other in (second, *rotated_inversions, relabeled(first).rotate(k)):
             same = first.canonical_key(up_to_relabel) == other.canonical_key(up_to_relabel)
             expected = _reference_key(first, up_to_relabel) == _reference_key(other, up_to_relabel)
             assert same == expected, (first.render(), other.render())
