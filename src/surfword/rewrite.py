@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .words import CONCORD, DISCORD, SignedLetter, Word, _checked_word, fresh_label
+from .words import CONCORD, DISCORD, SignedLetter, Word, _checked_word, _parse_shared, fresh_label
 
 __all__ = [
     "NotApplicable",
@@ -321,20 +321,22 @@ class RewriteStep:
     after: Word
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "params": dict(self.params),
-            "before": self.before.render(),
-            "after": self.after.render(),
-        }
+        return Trace([self]).to_list()[0]
 
     @classmethod
-    def from_dict(cls, data: dict, parsed: dict[str, Word] | None = None) -> "RewriteStep":
+    def from_dict(
+        cls,
+        data: dict,
+        parsed: dict[str, Word] | None = None,
+        letters: dict[str, SignedLetter] | None = None,
+    ) -> "RewriteStep":
         """Rebuild a step from :meth:`to_dict` output; raises
         :class:`ValueError` on any other shape or an unparsable word.
 
         ``parsed`` maps word texts to words already parsed from them and
         gains the words parsed here, so a trace parses each word once.
+        ``letters`` maps tokens to letters in the same way, so the words
+        of a trace share one letter per distinct token.
         """
         if not (
             isinstance(data, dict)
@@ -344,9 +346,10 @@ class RewriteStep:
         ):
             raise ValueError("trace step wants strings rule, before, after and an object params")
         parsed = {} if parsed is None else parsed
+        letters = {} if letters is None else letters
         for text in (data["before"], data["after"]):
             if text not in parsed:
-                parsed[text] = Word.parse(text)
+                parsed[text] = _parse_shared(text, letters)
         return cls(
             rule=data["rule"],
             params=dict(data["params"]),
@@ -441,8 +444,19 @@ class Trace:
         return "\n".join(step.describe() for step in self.steps)
 
     def to_list(self) -> list[dict]:
-        """The steps as the JSON-ready objects of :meth:`to_json`."""
-        return [step.to_dict() for step in self.steps]
+        """The steps as the JSON-ready objects of :meth:`to_json`.
+
+        Each word is rendered once: a step's ``after`` text is also the
+        next step's ``before``.
+        """
+        steps = self.steps
+        if not steps:
+            return []
+        texts = [steps[0].before.render()] + [step.after.render() for step in steps]
+        return [
+            {"rule": step.rule, "params": dict(step.params), "before": before, "after": after}
+            for step, before, after in zip(steps, texts, texts[1:])
+        ]
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_list(), indent=indent)
@@ -450,12 +464,21 @@ class Trace:
     @classmethod
     def from_json(cls, text: str) -> "Trace":
         """Parse :meth:`to_json` output; raises :class:`ValueError` on
-        malformed JSON, a malformed step or steps that do not chain."""
-        data = json.loads(text)
+        malformed or too deeply nested JSON, a malformed step or steps
+        that do not chain.
+
+        Each distinct word text is parsed once, and one letter is made
+        per distinct token, which all the words of the trace share.
+        """
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("trace JSON is nested too deeply") from None
         if not isinstance(data, list):
             raise ValueError("a trace must be a JSON array of steps")
         parsed: dict[str, Word] = {}
-        return cls(RewriteStep.from_dict(item, parsed) for item in data)
+        letters: dict[str, SignedLetter] = {}
+        return cls(RewriteStep.from_dict(item, parsed, letters) for item in data)
 
 
 def replay(word: Word, trace: Trace) -> Word:
@@ -464,6 +487,11 @@ def replay(word: Word, trace: Trace) -> Word:
     Raises :class:`ReplayMismatch` on the first step whose recorded
     words disagree with recomputation, or whose rule or parameters do
     not apply.  Returns the final word.
+
+    Once a step's result is checked equal to its recorded ``after``,
+    replay continues from that recorded word: the rules are pure
+    functions of letter values, and the words of a parsed trace share
+    their letters, so later comparisons mostly meet the same objects.
     """
     current = word
     for idx, step in enumerate(trace):
@@ -473,7 +501,7 @@ def replay(word: Word, trace: Trace) -> Word:
             )
         try:
             result = apply_step(current, step.rule, step.params)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             # NotApplicable is a ValueError; the rest come from bad params
             raise ReplayMismatch(f"step {idx}: {step.rule} not applicable: {exc}") from exc
         if result != step.after:
@@ -481,5 +509,5 @@ def replay(word: Word, trace: Trace) -> Word:
                 f"step {idx}: {step.rule} produced {result.render()!r}, "
                 f"recorded {step.after.render()!r}"
             )
-        current = result
+        current = step.after
     return current

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from string import ascii_lowercase
 from typing import Iterator
 
@@ -378,6 +380,28 @@ def _least_rotation(seq: list) -> tuple:
         k = 0
     start = min(i, j)
     return tuple(doubled[start : start + n])
+
+
+def _parse_shared(text: str, letters: dict[str, SignedLetter]) -> Word:
+    """``Word.parse(text)``, taking the letter of each token from
+    ``letters`` and adding the tokens it has not seen yet, so that words
+    parsed with one table share one letter per distinct token.
+
+    Text that is not two or more whitespace-separated tokens, or that
+    does not parse, goes to :meth:`Word.parse`, which raises its own
+    error for it.
+    """
+    tokens = text.split()
+    if len(tokens) > 1:
+        for token in set(tokens).difference(letters):
+            if not _TOKEN_RE.fullmatch(token):
+                break
+            letters[token] = _checked_letter(token.rstrip("'"), token.endswith("'"))
+        else:
+            shared = tuple(map(letters.__getitem__, tokens))
+            if max(Counter(map(attrgetter("label"), shared)).values()) <= 2:
+                return _checked_word(shared)
+    return Word.parse(text)
 
 
 def parse(text: str) -> Word:

@@ -2,9 +2,10 @@
 
 import json
 import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from surfword import (
@@ -21,13 +22,24 @@ from surfword import (
     hive_handle,
     hive_hole,
     interleave_to_handle,
+    normalize,
     parse,
     replay,
     slide_block,
     transpose_discord,
 )
 
-from conftest import REWRITE_RULES, applicable_instance
+from conftest import REWRITE_RULES, applicable_instance, words
+
+
+def _identity_chain(*texts):
+    """Trace JSON of ``rotate`` by 0 steps through the word texts given."""
+    return json.dumps(
+        [
+            {"rule": "rotate", "params": {"k": 0}, "before": before, "after": after}
+            for before, after in zip(texts, texts[1:])
+        ]
+    )
 
 
 class TestCancel:
@@ -264,7 +276,7 @@ class TestTraceAndReplay:
         with pytest.raises(ReplayMismatch):
             replay(parse("a a"), Trace([step]))
 
-    @pytest.mark.parametrize("params", [{"pos": "x"}, {}, {"pos": None}])
+    @pytest.mark.parametrize("params", [{"pos": "x"}, {}, {"pos": None}, {"pos": 1e400}])
     def test_replay_rejects_bad_params(self, params):
         step = RewriteStep("cancel", params, parse("a a'"), parse(""))
         with pytest.raises(ReplayMismatch):
@@ -280,6 +292,7 @@ class TestTraceAndReplay:
             '[{"rule": "cancel", "params": {"pos": 0}, "before": "a a\'", "after": 7}]',
             '[{"rule": "cancel", "params": [], "before": "a a\'", "after": ""}]',
             '[{"rule": "cancel", "params": {}, "before": "a", "after": "", "x": 0}]',
+            "[" * 100_000,
         ],
         ids=[
             "object",
@@ -289,11 +302,45 @@ class TestTraceAndReplay:
             "int-word",
             "list-params",
             "extra-key",
+            "deep-nesting",
         ],
     )
     def test_from_json_rejects_a_malformed_trace(self, text):
         with pytest.raises(ValueError):
             Trace.from_json(text)
+
+    @pytest.mark.parametrize(
+        "text", ["aba'b'", "a\tb  a'\tb'", " a1 b' ", "a", "a'", "", "a a b' c a1' a1"]
+    )
+    def test_from_json_reads_words_as_word_parse_does(self, text):
+        trace = Trace.from_json(_identity_chain("a b' c", text, text))
+        assert trace[0].before == parse("a b' c")
+        assert [step.after for step in trace] == [parse(text), parse(text)]
+
+    @pytest.mark.parametrize(
+        "text", ["a A", "A", "a b'' c", "a a a", "a a' b a", "aaa", "a1 b a1' b a1"]
+    )
+    def test_from_json_rejects_bad_words_as_word_parse_does(self, text):
+        with pytest.raises(ValueError) as expected:
+            parse(text)
+        message = f"^{re.escape(str(expected.value))}$"
+        with pytest.raises(type(expected.value), match=message) as caught:
+            Trace.from_json(_identity_chain("a b' c", text))
+        assert type(caught.value) is type(expected.value)
+
+    @given(words(), st.integers(min_value=0))
+    def test_replay_names_the_step_whose_recorded_word_was_changed(self, word, k):
+        _, trace = normalize(word)
+        assume(len(trace) > 0)
+        k %= len(trace)
+        data = json.loads(trace.to_json())
+        # a label no normalize trace of these words uses
+        tampered = (data[k]["after"] + " z9").strip()
+        data[k]["after"] = tampered
+        if k + 1 < len(data):
+            data[k + 1]["before"] = tampered
+        with pytest.raises(ReplayMismatch, match=f"^step {k}:"):
+            replay(word, Trace.from_json(json.dumps(data)))
 
     def test_trace_from_moves_builds_its_steps_when_read(self):
         moves = [("fold_concord", {"label": "b"}), ("hive_crosscap", {"pos": 2})]
