@@ -11,102 +11,12 @@ independent route (Euler characteristic, orientability, boundary
 tracing) for cross-checking.
 """
 
-from .words import (
-    CONCORD,
-    DISCORD,
-    SINGLE,
-    MultiplicityError,
-    PairingTable,
-    SignedLetter,
-    Word,
-    WordSyntaxError,
-    fresh_label,
-    label_sequence,
-    parse,
-)
-from .rewrite import (
-    NotApplicable,
-    ReplayMismatch,
-    RewriteStep,
-    Trace,
-    apply_step,
-    block_at,
-    cancel,
-    fold_concord,
-    glue_singles,
-    hive_crosscap,
-    hive_handle,
-    hive_hole,
-    interleave_to_handle,
-    replay,
-    slide_block,
-    transpose_discord,
-)
-from .normalform import NormalForm, canonical_word, classify, equivalent, normalize
-from .invariants import (
-    CornerComplex,
-    InconsistentInvariants,
-    Orbit,
-    bfs_orbit,
-    boundary_count,
-    classify_by_invariants,
-    corner_complex,
-    euler_characteristic,
-    family_iii,
-    family_iv,
-    family_v,
-    invariants_summary,
-    orientable,
-    random_word,
-)
+from . import invariants, normalform, rewrite, words
+from .words import *
+from .rewrite import *
+from .normalform import *
+from .invariants import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONCORD",
-    "CornerComplex",
-    "DISCORD",
-    "InconsistentInvariants",
-    "MultiplicityError",
-    "NormalForm",
-    "NotApplicable",
-    "Orbit",
-    "PairingTable",
-    "ReplayMismatch",
-    "RewriteStep",
-    "SINGLE",
-    "SignedLetter",
-    "Trace",
-    "Word",
-    "WordSyntaxError",
-    "apply_step",
-    "bfs_orbit",
-    "block_at",
-    "boundary_count",
-    "cancel",
-    "canonical_word",
-    "classify",
-    "classify_by_invariants",
-    "corner_complex",
-    "equivalent",
-    "euler_characteristic",
-    "family_iii",
-    "family_iv",
-    "family_v",
-    "fold_concord",
-    "fresh_label",
-    "glue_singles",
-    "hive_crosscap",
-    "hive_handle",
-    "hive_hole",
-    "interleave_to_handle",
-    "invariants_summary",
-    "label_sequence",
-    "normalize",
-    "orientable",
-    "parse",
-    "random_word",
-    "replay",
-    "slide_block",
-    "transpose_discord",
-]
+__all__ = words.__all__ + rewrite.__all__ + normalform.__all__ + invariants.__all__

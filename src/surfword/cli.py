@@ -39,6 +39,7 @@ def _emit_json(document: dict) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    # also serves ``trace``, which is ``classify --trace`` without the form line
     word = Word.parse(args.word)
     form, trace = normalize(word)
     if args.json:
@@ -47,10 +48,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             document["trace"] = trace.to_list()
         _emit_json(document)
     else:
-        print(_form_line(form))
-        if args.trace:
-            for step in trace:
-                print(step.describe())
+        if args.command == "classify":
+            print(_form_line(form))
+        if args.trace and trace:
+            print(trace.describe())
     return 0
 
 
@@ -70,23 +71,6 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     else:
         print("equivalent" if same else "not equivalent")
     return 0 if same else 3
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    word = Word.parse(args.word)
-    form, trace = normalize(word)
-    if args.json:
-        _emit_json(
-            {
-                "word": word.render(),
-                "normal_form": form.to_dict(),
-                "trace": trace.to_list(),
-            }
-        )
-    else:
-        for step in trace:
-            print(step.describe())
-    return 0
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -174,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="print the normalization trace of a word")
     trace.add_argument("word")
     trace.add_argument("--json", action="store_true", help="emit a JSON document")
-    trace.set_defaults(handler=_cmd_trace)
+    trace.set_defaults(handler=_cmd_classify, trace=True)
 
     invariants = sub.add_parser("invariants", help="print independently computed invariants")
     invariants.add_argument("word")

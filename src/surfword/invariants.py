@@ -19,16 +19,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .normalform import NormalForm
-from .rewrite import (
-    block_at,
-    cancel,
-    fold_concord,
-    interleave_to_handle,
-    slide_block,
-    transpose_discord,
-)
-from .words import CONCORD, DISCORD, SignedLetter, Word, label_sequence
+from .normalform import NormalForm, _partners
+from .rewrite import _apply, _block_size, _Coded, _invert
+from .words import SignedLetter, Word, label_sequence
 
 __all__ = [
     "CornerComplex",
@@ -285,61 +278,69 @@ class Orbit:
         )
 
 
+def _neighbor(base: _Coded, spin: int, rule: str, **params) -> Word:
+    """``rule`` with ``params`` applied to a copy of ``base`` rotated
+    left by ``spin``."""
+    coded = _Coded(base.codes[spin:] + base.codes[:spin], base.names, base.letters)
+    _apply(coded, rule, params)
+    return coded.decode()
+
+
 def _orbit_neighbors(word: Word) -> Iterator[Word]:
     """All words one rule application away from ``word``, read from the
-    word and from its inversion.
+    codes of the word and of its inversion, each encoded once.
 
-    Each rule is called only at the sites where it applies, so none
-    raises :class:`NotApplicable`: ``cancel`` where two adjacent letters
-    carry one label with opposite flags, ``transpose_discord`` at the
-    splits from just after the upright occurrence through the inverted
-    one, ``slide_block`` at the destinations outside the block, and
-    ``interleave_to_handle`` for interleaved pairs.  ``cancel``,
-    ``transpose_discord`` and ``slide_block`` read their sites
-    cyclically, so one reading finds every site.  ``fold_concord`` and
-    ``interleave_to_handle`` start from the first stored occurrence of a
-    label, so those two also run from the rotations that put each
-    occurrence of that label first.  The same neighbor can come out
-    more than once; :func:`bfs_orbit` deduplicates by key.
+    Each rule is applied, to a copy, only at the sites where it
+    applies, so none raises :class:`NotApplicable`: ``cancel`` where
+    two adjacent letters carry one label with opposite flags,
+    ``transpose_discord`` at the splits from just after the upright
+    occurrence through the inverted one, ``slide_block`` at the
+    destinations outside the block, and ``interleave_to_handle`` for
+    interleaved pairs.  ``cancel``, ``transpose_discord`` and
+    ``slide_block`` read their sites cyclically, so one reading finds
+    every site.  ``fold_concord`` and ``interleave_to_handle`` start
+    from the first stored occurrence of a label, so those two also run
+    from the rotations that put each occurrence of that label first.
+    The same neighbor can come out more than once; :func:`bfs_orbit`
+    deduplicates by key.
     """
     n = len(word)
     if n == 0:
         return
-    for base in (word, word.invert()):
-        letters = base.letters
-        table = base.pairing()
-        discords = table.with_character(DISCORD)
+    forward = _Coded.encode(word)
+    backward = _Coded(forward.codes.copy(), forward.names, forward.letters)
+    _invert(backward.codes)
+    for base in (forward, backward):
+        codes, names = base.codes, base.names
+        # paired labels in order of first occurrence, with their positions
+        pairs = [(names[codes[i] >> 1], (i, j)) for i, j in enumerate(_partners(codes)) if i < j]
+        discords = [(label, p) for label, p in pairs if codes[p[0]] != codes[p[1]]]
         for pos in range(n):
-            here, after = letters[pos], letters[(pos + 1) % n]
-            if here.label == after.label and here.inverted != after.inverted:
-                yield cancel(base, pos)
-        for label in discords:
-            up, down = table.positions(label)
-            if letters[up].inverted:
+            if codes[pos] ^ codes[(pos + 1) % n] == 1:
+                yield _neighbor(base, 0, "cancel", pos=pos)
+        for label, (up, down) in discords:
+            if codes[up] & 1:
                 up, down = down, up
             if up < down:
                 splits = range(up + 1, down + 1)
             else:
                 splits = itertools.chain(range(down + 1), range(up + 1, n))
             for split in splits:
-                yield transpose_discord(base, label, split)
+                yield _neighbor(base, 0, "transpose_discord", label=label, split=split)
         for start in range(n):
-            found = block_at(base, start)
-            if found is None:
-                continue
-            occupied = {(start + k) % n for k in range(found[0])}
-            for dest in range(n):
-                if dest not in occupied:
-                    yield slide_block(base, start, dest)
-        for label in table.with_character(CONCORD):
-            for p in table.positions(label):
-                yield fold_concord(base.rotate(p), label)
-        for a in discords:
-            for p in table.positions(a):
-                spun = base.rotate(p)
-                for b in discords:
-                    if table.interleaved(a, b):
-                        yield interleave_to_handle(spun, a, b)
+            if size := _block_size(codes, start):
+                for dest in range(n):
+                    if (dest - start) % n >= size:
+                        yield _neighbor(base, 0, "slide_block", block_start=start, dest=dest)
+        for label, positions in pairs:
+            if codes[positions[0]] == codes[positions[1]]:
+                for p in positions:
+                    yield _neighbor(base, p, "fold_concord", label=label)
+        for a, (i, j) in discords:
+            for p in (i, j):
+                for b, (k1, k2) in discords:
+                    if a != b and (i < k1 < j) != (i < k2 < j):
+                        yield _neighbor(base, p, "interleave_to_handle", a=a, b=b)
 
 
 def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None = None) -> Orbit:
@@ -358,7 +359,11 @@ def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None 
     truncated = False
     while queue and not truncated:
         current = queue.popleft()
+        inverse = current.invert()
         for neighbor in _orbit_neighbors(current):
+            # the state itself, whose key is already seen
+            if neighbor in (current, inverse):
+                continue
             if max_length is not None and len(neighbor) > max_length:
                 continue
             key = neighbor.canonical_key()

@@ -17,19 +17,20 @@ genus ``p + 2t`` when ``p > 0``, the orientable genus ``t`` when
 ``p == 0 < t``, and the sphere otherwise.  Boundary components equal
 the tallied holes.
 
-The stages search and edit a plain list of letter codes, not
-:class:`Word` values, and record each rewrite as its rule and
-parameters.  The returned :class:`Trace` keeps those moves with the
-initial and final words and builds the words between on demand, so
-:func:`classify` and :func:`equivalent` never build them.
+The stages work on one coded word, not on :class:`Word` values: each
+finds a rule's site, applies that rule's own edit from
+:mod:`surfword.rewrite` there, and records the rule and its parameters.
+The returned :class:`Trace` keeps those moves with the initial and final
+words and builds the words between on demand, so :func:`classify` and
+:func:`equivalent` never build them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rewrite import Trace
-from .words import SignedLetter, Word, label_sequence
+from .rewrite import Trace, _Coded, _fold, _glue, _interleave, _remove
+from .words import SignedLetter, Word
 
 __all__ = [
     "NormalForm",
@@ -198,36 +199,29 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
     rewrite applied, chained from ``word`` down to the residual word
     (empty, or one single letter standing for the last hole).
 
-    The stages work on a list of letter codes ``2 * id + inverted``
-    (``names[id]`` is the label) and record each rule as ``(rule,
-    params)``; the trace builds the words between only when they are
-    read.  A ``fold_concord`` or ``interleave_to_handle`` that would
-    return its input is not recorded.
+    The stages find each site on the letter codes ``2 * id + inverted``
+    of the encoded word and apply the rule's own edit there, without its
+    check, recording ``(rule, params)``; the trace builds the words
+    between only when they are read.  A ``fold_concord`` or
+    ``interleave_to_handle`` that would return its input is not recorded.
     """
-    names: list[str] = []
-    ids: dict[str, int] = {}
-
-    def upright(label: str) -> int:
-        if label not in ids:
-            ids[label] = len(names)
-            names.append(label)
-        return 2 * ids[label]
-
-    cur = [upright(letter.label) + letter.inverted for letter in word]
+    coded = _Coded.encode(word)
+    codes, names = coded.codes, coded.names
     moves: list[tuple[str, dict]] = []
 
     crosscaps = 0
-    while (site := _crosscap_site(cur)) is not None:
+    while (site := _crosscap_site(codes)) is not None:
         i, j = site
-        if j > i + 1 or cur[i] & 1:
-            moves.append(("fold_concord", {"label": names[cur[i] >> 1]}))
+        if j > i + 1 or codes[i] & 1:
+            moves.append(("fold_concord", {"label": names[codes[i] >> 1]}))
         moves.append(("hive_crosscap", {"pos": j - 1}))
-        cur[i : j + 1] = [code ^ 1 for code in reversed(cur[i + 1 : j])]
+        _fold(codes, i, j)
+        _remove(codes, j - 1, j)
         crosscaps += 1
 
     handles = 0
     while True:
-        partner = _partners(cur)
+        partner = _partners(codes)
         site = _handle_site(partner)
         if site is None:
             break
@@ -235,42 +229,33 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
         a2, b2 = partner[a1], partner[b1]
         b_in, b_out = (b1, b2) if a1 < b1 else (b2, b1)
         if (a1, b_in, a2, b_out) != (0, 1, 2, 3):
-            a, b = names[cur[a1] >> 1], names[cur[b1] >> 1]
+            a, b = names[codes[a1] >> 1], names[codes[b1] >> 1]
             moves.append(("interleave_to_handle", {"a": a, "b": b}))
         moves.append(("hive_handle", {"pos": 0}))
-        beta, gamma = cur[a1 + 1 : b_in], cur[b_in + 1 : a2]
-        if b_out > a2:
-            delta, tail = cur[a2 + 1 : b_out], cur[b_out + 1 :] + cur[:a1]
-        else:
-            delta, tail = cur[a2 + 1 :] + cur[:b_out], cur[b_out + 1 : a1]
-        cur = tail + delta + gamma + beta
+        _interleave(codes, a1, b_in, a2, b_out)
+        _remove(codes, 0, 1, 2, 3)
         handles += 1
 
     holes = 0
     while True:
-        partner = _partners(cur)
+        partner = _partners(codes)
         pos = _glue_site(partner)
         if pos is not None:
             moves.append(("glue_singles", {"pos": pos}))
-            used = {names[code >> 1] for code in cur}
-            merged = upright(next(name for name in label_sequence() if name not in used))
-            if pos + 1 < len(cur):
-                cur[pos : pos + 2] = [merged]
-            else:
-                cur = cur[1:-1] + [merged]
+            _glue(coded, pos)
             continue
-        if len(cur) <= 1:
+        if len(codes) <= 1:
             # no pair is left, and merging left at most one single letter
-            holes += len(cur)
+            holes += len(codes)
             break
         first, second, middle = _hole_site(partner)
         if middle is None:
             moves.append(("cancel", {"pos": first}))
+            _remove(codes, first, second)
         else:
-            moves.append(("hive_hole", {"label": names[cur[first] >> 1]}))
+            moves.append(("hive_hole", {"label": names[codes[first] >> 1]}))
+            _remove(codes, first, second, middle)
             holes += 1
-        gone = {first, second, middle}
-        cur = [code for k, code in enumerate(cur) if k not in gone]
 
     if crosscaps:
         form = NormalForm("nonorientable", crosscaps + 2 * handles, holes)
@@ -278,8 +263,7 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
         form = NormalForm("orientable", handles, holes)
     else:
         form = NormalForm("sphere", 0, holes)
-    final = Word(tuple(SignedLetter(names[code >> 1], bool(code & 1)) for code in cur))
-    return form, Trace.from_moves(word, moves, final)
+    return form, Trace.from_moves(word, moves, coded.decode())
 
 
 def classify(word: Word) -> NormalForm:

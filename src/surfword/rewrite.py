@@ -5,6 +5,14 @@ Every rule is a pure function from a word to a new word.  A rule raises
 site; it never returns a partially rewritten word.  Positions index the
 stored sequence and wrap cyclically where noted.
 
+Each rule is implemented once, on a coded word (:class:`_Coded`): the
+letter codes ``2 * id + inverted``.  It is a check, which turns the
+parameters into positions or raises :class:`NotApplicable`, and then
+one edit of the codes at those positions.  ``normalize`` finds its
+sites itself and calls the edits directly; :func:`apply_step`, replay
+and the orbit search dispatch to the checked rules.  The functions on
+:class:`Word` are wrappers that encode, apply the rule and decode.
+
 Applied rules can be recorded as :class:`RewriteStep` values and chained
 into a :class:`Trace`.  A trace is an auditable derivation: replaying it
 with :func:`replay` recomputes every step from its parameters and
@@ -21,7 +29,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .words import CONCORD, DISCORD, SignedLetter, Word, _checked_word, _parse_shared, fresh_label
+from .words import CONCORD, DISCORD, SignedLetter, Word, label_sequence
+from .words import _checked_letter, _checked_word, _parse_shared
 
 __all__ = [
     "NotApplicable",
@@ -51,49 +60,84 @@ class ReplayMismatch(RuntimeError):
     """A recorded step does not reproduce under replay."""
 
 
-def _delete(word: Word, positions: set[int]) -> Word:
-    return _checked_word(tuple(l for i, l in enumerate(word.letters) if i not in positions))
+class _Coded:
+    """A word as letter codes ``2 * id + inverted``, with ``names[id]``
+    the label of each id and ``letters`` the letter made for each code.
+
+    Edits change ``codes`` in place.  Coded words made from one another
+    have their own codes and share ``names`` and ``letters``, which only
+    grow, so all of them decode a code to the same letter.
+    """
+
+    __slots__ = ("codes", "names", "letters")
+
+    def __init__(self, codes: list[int], names: list[str], letters: dict[int, SignedLetter]):
+        self.codes, self.names, self.letters = codes, names, letters
+
+    @classmethod
+    def encode(cls, word: Word) -> "_Coded":
+        ids: dict[str, int] = {}
+        codes = [2 * ids.setdefault(l.label, len(ids)) + l.inverted for l in word.letters]
+        return cls(codes, list(ids), dict(zip(codes, word.letters)))
+
+    def decode(self) -> Word:
+        """The word the codes stand for; a letter is made only for a code
+        that has none yet."""
+        letters = self.letters
+        if len(letters) < 2 * len(self.names):  # some code has no letter yet
+            for code in set(self.codes).difference(letters):
+                letters[code] = _checked_letter(self.names[code >> 1], bool(code & 1))
+        return _checked_word(tuple(map(letters.__getitem__, self.codes)))
 
 
-def _invert_run(letters: Iterable[SignedLetter]) -> tuple[SignedLetter, ...]:
-    return tuple(l.inverse() for l in reversed(tuple(letters)))
+def _on_word(rule, word: Word, *args) -> Word:
+    coded = _Coded.encode(word)
+    rule(coded, *args)
+    return coded.decode()
 
 
-def _pair_positions(word: Word, label: str, character: str) -> tuple[int, int]:
+def _pair(coded: _Coded, label: str, character: str) -> tuple[int, int]:
     """Stored positions of the pair ``label``, which must be of
     ``character`` (:data:`CONCORD` or :data:`DISCORD`)."""
-    where = [k for k, letter in enumerate(word.letters) if letter.label == label]
-    if len(where) == 2:
-        i, j = where
-        if (word[i].inverted == word[j].inverted) == (character == CONCORD):
-            return i, j
+    codes = coded.codes
+    if label in coded.names:
+        up = 2 * coded.names.index(label)
+        if character == CONCORD:
+            code = up if up in codes else up + 1
+            if codes.count(code) == 2:
+                i = codes.index(code)
+                return i, codes.index(code, i + 1)
+        elif up in codes and up + 1 in codes:
+            i, j = codes.index(up), codes.index(up + 1)
+            return min(i, j), max(i, j)
     raise NotApplicable(f"{label!r} is not a {character} pair")
 
 
-def _occurs_once(word: Word, label: str) -> bool:
-    return sum(letter.label == label for letter in word.letters) == 1
+def _single(codes: list[int], k: int) -> bool:
+    return codes.count(codes[k]) + codes.count(codes[k] ^ 1) == 1
 
 
-def _cyclic_between(n: int, start: int, stop: int) -> list[int]:
-    # indices strictly between start and stop, walking forward with wrap
-    out = []
-    i = (start + 1) % n
-    while i != stop:
-        out.append(i)
-        i = (i + 1) % n
-    return out
+def _remove(codes: list[int], *positions: int) -> None:
+    """The edit of ``cancel``, ``hive_crosscap``, ``hive_handle`` and
+    ``hive_hole``: delete the letters at ``positions``."""
+    for k in sorted(positions, reverse=True):
+        del codes[k]
 
 
-def _delete_adjacent_pair(word: Word, pos: int, same_flags: bool, site: str, shape: str) -> Word:
+def _adjacent_pair(coded: _Coded, pos: int, flip: int, site: str, shape: str) -> None:
     # cancel and hive_crosscap differ only in the flag relation they want
-    n = len(word)
+    codes = coded.codes
+    n = len(codes)
     if n < 2 or not 0 <= pos < n:
         raise NotApplicable(f"no {site} at position {pos}")
     j = (pos + 1) % n
-    a, b = word[pos], word[j]
-    if a.label != b.label or (a.inverted == b.inverted) != same_flags:
+    if codes[pos] ^ codes[j] != flip:
         raise NotApplicable(f"letters at {pos},{j} are not an adjacent {shape} pair")
-    return _delete(word, {pos, j})
+    _remove(codes, pos, j)
+
+
+def _cancel(coded: _Coded, pos: int) -> None:
+    _adjacent_pair(coded, pos, 1, "adjacent pair", "inverse")
 
 
 def cancel(word: Word, pos: int) -> Word:
@@ -102,7 +146,22 @@ def cancel(word: Word, pos: int) -> Word:
     The letters at cyclic positions ``pos`` and ``pos + 1`` must carry
     the same label with opposite flags (either order).
     """
-    return _delete_adjacent_pair(word, pos, False, "adjacent pair", "inverse")
+    return _on_word(_cancel, word, pos)
+
+
+def _transpose_discord(coded: _Coded, label: str, split: int) -> None:
+    i, j = _pair(coded, label, DISCORD)
+    codes = coded.codes
+    if codes[i] & 1:
+        i, j = j, i
+    n = len(codes)
+    between = [(i + 1 + k) % n for k in range((j - i - 1) % n)]
+    offset = (split - (i + 1)) % n
+    if offset > len(between):
+        raise NotApplicable(f"split {split} is not between the occurrences of {label!r}")
+    run = [codes[k] for k in between]
+    for k, code in zip(between, run[offset:] + run[:offset]):
+        codes[k] = code
 
 
 def transpose_discord(word: Word, label: str, split: int) -> Word:
@@ -114,20 +173,18 @@ def transpose_discord(word: Word, label: str, split: int) -> Word:
     ``split`` may equal the position of the inverted occurrence, making
     ``beta2`` empty and the rule the identity.
     """
-    i, j = _pair_positions(word, label, DISCORD)
-    if word[i].inverted:
-        i, j = j, i
-    n = len(word)
-    between = _cyclic_between(n, i, j)
-    offset = (split - (i + 1)) % n
-    if offset > len(between):
-        raise NotApplicable(f"split {split} is not between the occurrences of {label!r}")
-    run = [word[k] for k in between]
-    moved = run[offset:] + run[:offset]
-    out = list(word.letters)
-    for k, letter in zip(between, moved):
-        out[k] = letter
-    return _checked_word(tuple(out))
+    return _on_word(_transpose_discord, word, label, split)
+
+
+def _fold(codes: list[int], i: int, j: int) -> None:
+    """The edit of ``fold_concord`` at the concord pair stored at ``i < j``."""
+    up = codes[i] & ~1
+    codes[i : j - 1] = [code ^ 1 for code in reversed(codes[i + 1 : j])]
+    codes[j - 1] = codes[j] = up
+
+
+def _fold_concord(coded: _Coded, label: str) -> None:
+    _fold(coded.codes, *_pair(coded, label, CONCORD))
 
 
 def fold_concord(word: Word, label: str) -> Word:
@@ -139,12 +196,22 @@ def fold_concord(word: Word, label: str) -> Word:
     run is the stored segment between them.  A pair written with both
     flags inverted folds the same way and comes out with positive flags.
     """
-    i, j = _pair_positions(word, label, CONCORD)
-    head = word.letters[:i]
-    mid = word.letters[i + 1 : j]
-    tail = word.letters[j + 1 :]
-    upright = SignedLetter(label)
-    return _checked_word(head + _invert_run(mid) + (upright, upright) + tail)
+    return _on_word(_fold_concord, word, label)
+
+
+def _block_size(codes: list[int], pos: int) -> int:
+    """2 for a crosscap block ``x x`` at cyclic position ``pos``, 4 for a
+    handle block ``x y x' y'``, else 0."""
+    n = len(codes)
+    if n < 2:
+        return 0
+    a, b = codes[pos], codes[(pos + 1) % n]
+    if a == b:
+        return 2
+    # as no label occurs three times, this holds only for two labels in four letters
+    if codes[(pos + 2) % n] == a ^ 1 and codes[(pos + 3) % n] == b ^ 1:
+        return 4
+    return 0
 
 
 def block_at(word: Word, pos: int) -> tuple[int, tuple[SignedLetter, ...]] | None:
@@ -154,18 +221,25 @@ def block_at(word: Word, pos: int) -> tuple[int, tuple[SignedLetter, ...]] | Non
     ``(4, letters)`` for a handle block ``x y x' y'``, else ``None``.
     In a valid word the two shapes cannot start at the same position.
     """
-    letters = word.letters
-    n = len(letters)
-    if n < 2:
-        return None
-    a, b = letters[pos], letters[(pos + 1) % n]
-    if a.label == b.label and a.inverted == b.inverted:
-        return 2, (a, b)
-    if n >= 4 and a.label != b.label:
-        c, d = letters[(pos + 2) % n], letters[(pos + 3) % n]
-        if c == a.inverse() and d == b.inverse():
-            return 4, (a, b, c, d)
-    return None
+    size = _block_size(_Coded.encode(word).codes, pos)
+    return (size, tuple(word[(pos + k) % len(word)] for k in range(size))) if size else None
+
+
+def _slide_block(coded: _Coded, block_start: int, dest: int) -> None:
+    codes = coded.codes
+    n = len(codes)
+    if not 0 <= block_start < n:
+        raise NotApplicable(f"no block at position {block_start}")
+    size = _block_size(codes, block_start)
+    if not size:
+        raise NotApplicable(f"no crosscap or handle block at position {block_start}")
+    if not 0 <= dest < n or (dest - block_start) % n < size:
+        raise NotApplicable(f"destination {dest} is not outside the block")
+    occupied = [(block_start + k) % n for k in range(size)]
+    block = [codes[k] for k in occupied]
+    at = dest - sum(k < dest for k in occupied)
+    _remove(codes, *occupied)
+    codes[at:at] = block
 
 
 def slide_block(word: Word, block_start: int, dest: int) -> Word:
@@ -175,23 +249,31 @@ def slide_block(word: Word, block_start: int, dest: int) -> Word:
     ``dest`` must lie outside the block.  Sliding to the position right
     after the block is the identity.
     """
-    n = len(word)
-    if not 0 <= block_start < n:
-        raise NotApplicable(f"no block at position {block_start}")
-    found = block_at(word, block_start)
-    if found is None:
-        raise NotApplicable(f"no crosscap or handle block at position {block_start}")
-    size, block = found
-    occupied = {(block_start + k) % n for k in range(size)}
-    if not 0 <= dest < n or dest in occupied:
-        raise NotApplicable(f"destination {dest} is not outside the block")
-    out: list[SignedLetter] = []
-    for idx in range(n):
-        if idx == dest:
-            out.extend(block)
-        if idx not in occupied:
-            out.append(word[idx])
-    return _checked_word(tuple(out))
+    return _on_word(_slide_block, word, block_start, dest)
+
+
+def _interleave(codes: list[int], a1: int, b_in: int, a2: int, b_out: int) -> None:
+    """The edit of ``interleave_to_handle`` at the pair ``a`` stored at
+    ``a1 < a2`` and the pair ``b`` with ``b_in`` between them and
+    ``b_out`` outside."""
+    x, y = codes[a1], codes[b_in]
+    beta, gamma = codes[a1 + 1 : b_in], codes[b_in + 1 : a2]
+    if b_out > a2:
+        delta, tail = codes[a2 + 1 : b_out], codes[b_out + 1 :] + codes[:a1]
+    else:
+        delta, tail = codes[a2 + 1 :] + codes[:b_out], codes[b_out + 1 : a1]
+    codes[:] = [x, y, x ^ 1, y ^ 1] + tail + delta + gamma + beta
+
+
+def _interleave_to_handle(coded: _Coded, a: str, b: str) -> None:
+    if a == b:
+        raise NotApplicable("need two distinct labels")
+    a1, a2 = _pair(coded, a, DISCORD)
+    b1, b2 = _pair(coded, b, DISCORD)
+    if (a1 < b1 < a2) == (a1 < b2 < a2):
+        raise NotApplicable(f"pairs {a!r} and {b!r} are not interleaved")
+    b_in, b_out = (b1, b2) if a1 < b1 < a2 else (b2, b1)
+    _interleave(coded.codes, a1, b_in, a2, b_out)
 
 
 def interleave_to_handle(word: Word, a: str, b: str) -> Word:
@@ -203,42 +285,57 @@ def interleave_to_handle(word: Word, a: str, b: str) -> Word:
     is ``x y x' y' tail delta gamma beta``.  Every other pair keeps its
     flags, so no pairing character changes.
     """
-    if a == b:
-        raise NotApplicable("need two distinct labels")
-    a1, a2 = _pair_positions(word, a, DISCORD)
-    b1, b2 = _pair_positions(word, b, DISCORD)
-    n = len(word)
-    marks = {a2: "A", b1: "B", b2: "B"}
-    segments: list[list[SignedLetter]] = [[]]
-    seen: list[int] = []
-    i = (a1 + 1) % n
-    while i != a1:
-        if i in marks:
-            seen.append(i)
-            segments.append([])
-        else:
-            segments[-1].append(word[i])
-        i = (i + 1) % n
-    if [marks[p] for p in seen] != ["B", "A", "B"]:
-        raise NotApplicable(f"pairs {a!r} and {b!r} are not interleaved")
-    beta, gamma, delta, tail = segments
-    x = word[a1]
-    y = word[seen[0]]
-    out = (x, y, x.inverse(), y.inverse())
-    return _checked_word(out + tuple(tail) + tuple(delta) + tuple(gamma) + tuple(beta))
+    return _on_word(_interleave_to_handle, word, a, b)
+
+
+def _rotate(codes: list[int], k: int) -> None:
+    if codes:
+        k %= len(codes)
+        codes[:] = codes[k:] + codes[:k]
+
+
+def _invert(codes: list[int]) -> None:
+    codes[:] = [code ^ 1 for code in reversed(codes)]
+
+
+def _glue(coded: _Coded, pos: int) -> None:
+    """The edit of ``glue_singles``: the letters at ``pos`` and ``pos +
+    1`` become one letter with the first label unused in the word."""
+    codes, names = coded.codes, coded.names
+    used = {names[code >> 1] for code in codes}
+    label = next(name for name in label_sequence() if name not in used)
+    if label not in names:
+        names.append(label)
+    codes[pos] = 2 * names.index(label)
+    del codes[(pos + 1) % len(codes)]
+
+
+def _glue_singles(coded: _Coded, pos: int) -> None:
+    codes = coded.codes
+    n = len(codes)
+    if n < 2 or not 0 <= pos < n:
+        raise NotApplicable(f"no adjacent singles at position {pos}")
+    j = (pos + 1) % n
+    if not (_single(codes, pos) and _single(codes, j)):
+        raise NotApplicable(f"letters at {pos},{j} are not both single")
+    _glue(coded, pos)
 
 
 def glue_singles(word: Word, pos: int) -> Word:
     """Merge two cyclically adjacent single letters into one fresh single."""
-    n = len(word)
-    if n < 2 or not 0 <= pos < n:
-        raise NotApplicable(f"no adjacent singles at position {pos}")
-    j = (pos + 1) % n
-    if not (_occurs_once(word, word[pos].label) and _occurs_once(word, word[j].label)):
-        raise NotApplicable(f"letters at {pos},{j} are not both single")
-    merged = SignedLetter(fresh_label(word))
-    out = [merged if k == pos else word[k] for k in range(n) if k != j]
-    return _checked_word(tuple(out))
+    return _on_word(_glue_singles, word, pos)
+
+
+def _hive_hole(coded: _Coded, label: str) -> None:
+    i, j = _pair(coded, label, DISCORD)
+    codes = coded.codes
+    n = len(codes)
+    for first, second in ((i, j), (j, i)):
+        middle = (first + 1) % n
+        if (second - first) % n == 2 and _single(codes, middle):
+            _remove(codes, first, second, middle)
+            return
+    raise NotApplicable(f"pair {label!r} does not frame one single letter")
 
 
 def hive_hole(word: Word, label: str) -> Word:
@@ -248,13 +345,11 @@ def hive_hole(word: Word, label: str) -> Word:
     The arc following the first stored occurrence is preferred when both
     arcs qualify.  The caller accounts for the removed hole.
     """
-    i, j = _pair_positions(word, label, DISCORD)
-    n = len(word)
-    for first, second in ((i, j), (j, i)):
-        arc = _cyclic_between(n, first, second)
-        if len(arc) == 1 and _occurs_once(word, word[arc[0]].label):
-            return _delete(word, {first, second, arc[0]})
-    raise NotApplicable(f"pair {label!r} does not frame one single letter")
+    return _on_word(_hive_hole, word, label)
+
+
+def _hive_crosscap(coded: _Coded, pos: int) -> None:
+    _adjacent_pair(coded, pos, 0, "block", "concord")
 
 
 def hive_crosscap(word: Word, pos: int) -> Word:
@@ -262,7 +357,17 @@ def hive_crosscap(word: Word, pos: int) -> Word:
 
     The caller accounts for the removed crosscap.
     """
-    return _delete_adjacent_pair(word, pos, True, "block", "concord")
+    return _on_word(_hive_crosscap, word, pos)
+
+
+def _hive_handle(coded: _Coded, pos: int) -> None:
+    codes = coded.codes
+    n = len(codes)
+    if n < 4 or not 0 <= pos < n:
+        raise NotApplicable(f"no block at position {pos}")
+    if _block_size(codes, pos) != 4:
+        raise NotApplicable(f"no handle block at position {pos}")
+    _remove(codes, *((pos + k) % n for k in range(4)))
 
 
 def hive_handle(word: Word, pos: int) -> Word:
@@ -270,37 +375,37 @@ def hive_handle(word: Word, pos: int) -> Word:
 
     The caller accounts for the removed handle.
     """
-    n = len(word)
-    if n < 4 or not 0 <= pos < n:
-        raise NotApplicable(f"no block at position {pos}")
-    found = block_at(word, pos)
-    if found is None or found[0] != 4:
-        raise NotApplicable(f"no handle block at position {pos}")
-    return _delete(word, {(pos + k) % n for k in range(4)})
+    return _on_word(_hive_handle, word, pos)
 
 
 _APPLIERS = {
-    "cancel": lambda w, p: cancel(w, int(p["pos"])),
-    "transpose_discord": lambda w, p: transpose_discord(w, p["label"], int(p["split"])),
-    "fold_concord": lambda w, p: fold_concord(w, p["label"]),
-    "slide_block": lambda w, p: slide_block(w, int(p["block_start"]), int(p["dest"])),
-    "interleave_to_handle": lambda w, p: interleave_to_handle(w, p["a"], p["b"]),
-    "rotate": lambda w, p: w.rotate(int(p["k"])),
-    "invert": lambda w, p: w.invert(),
-    "glue_singles": lambda w, p: glue_singles(w, int(p["pos"])),
-    "hive_hole": lambda w, p: hive_hole(w, p["label"]),
-    "hive_crosscap": lambda w, p: hive_crosscap(w, int(p["pos"])),
-    "hive_handle": lambda w, p: hive_handle(w, int(p["pos"])),
+    "cancel": lambda c, p: _cancel(c, int(p["pos"])),
+    "transpose_discord": lambda c, p: _transpose_discord(c, p["label"], int(p["split"])),
+    "fold_concord": lambda c, p: _fold_concord(c, p["label"]),
+    "slide_block": lambda c, p: _slide_block(c, int(p["block_start"]), int(p["dest"])),
+    "interleave_to_handle": lambda c, p: _interleave_to_handle(c, p["a"], p["b"]),
+    "rotate": lambda c, p: _rotate(c.codes, int(p["k"])),
+    "invert": lambda c, p: _invert(c.codes),
+    "glue_singles": lambda c, p: _glue_singles(c, int(p["pos"])),
+    "hive_hole": lambda c, p: _hive_hole(c, p["label"]),
+    "hive_crosscap": lambda c, p: _hive_crosscap(c, int(p["pos"])),
+    "hive_handle": lambda c, p: _hive_handle(c, int(p["pos"])),
 }
 
 
-def apply_step(word: Word, rule: str, params: dict | None = None) -> Word:
-    """Apply ``rule`` with ``params`` to ``word``; the step dispatcher."""
+def _apply(coded: _Coded, rule: str, params: dict | None) -> None:
+    """Apply ``rule`` with ``params`` to ``coded`` in place; the step
+    dispatcher on codes."""
     try:
         applier = _APPLIERS[rule]
     except KeyError:
         raise NotApplicable(f"unknown rule {rule!r}") from None
-    return applier(word, params or {})
+    applier(coded, params or {})
+
+
+def apply_step(word: Word, rule: str, params: dict | None = None) -> Word:
+    """Apply ``rule`` with ``params`` to ``word``; the step dispatcher."""
+    return _on_word(_apply, word, rule, params)
 
 
 _STEP_KEYS = {"rule", "params", "before", "after"}
@@ -358,8 +463,7 @@ class RewriteStep:
         )
 
     def describe(self) -> str:
-        args = ", ".join(f"{k}={v}" for k, v in self.params.items())
-        return f"{self.rule}({args}): {self.before.render()!r} -> {self.after.render()!r}"
+        return Trace([self]).describe()
 
 
 class Trace:
@@ -370,9 +474,10 @@ class Trace:
 
     A trace made by :meth:`from_moves` stores only its initial word, its
     ``(rule, params)`` moves and its final word.  Its steps, with the
-    words between, are built through :func:`apply_step` the first time
-    they are read, and the build checks that the moves reach the final
-    word.
+    words between, are built the first time they are read: the initial
+    word is encoded once, the moves edit its codes, and each word
+    between is decoded once.  The build checks that the moves reach the
+    final word.
     """
 
     __slots__ = ("_initial", "_moves", "_final", "_steps")
@@ -404,8 +509,10 @@ class Trace:
         if self._steps is None:
             steps = []
             word = self._initial
+            coded = _Coded.encode(word)
             for rule, params in self._moves:
-                after = apply_step(word, rule, params)
+                _apply(coded, rule, params)
+                after = coded.decode()
                 steps.append(RewriteStep(rule, params, word, after))
                 word = after
             if word != self._final:
@@ -441,7 +548,13 @@ class Trace:
         return self._final
 
     def describe(self) -> str:
-        return "\n".join(step.describe() for step in self.steps)
+        """One line per step, ``rule(params): 'before' -> 'after'``, with
+        each word rendered once."""
+        lines = []
+        for step in self.to_list():
+            args = ", ".join(f"{k}={v}" for k, v in step["params"].items())
+            lines.append(f"{step['rule']}({args}): {step['before']!r} -> {step['after']!r}")
+        return "\n".join(lines)
 
     def to_list(self) -> list[dict]:
         """The steps as the JSON-ready objects of :meth:`to_json`.
@@ -488,11 +601,13 @@ def replay(word: Word, trace: Trace) -> Word:
     words disagree with recomputation, or whose rule or parameters do
     not apply.  Returns the final word.
 
-    Once a step's result is checked equal to its recorded ``after``,
-    replay continues from that recorded word: the rules are pure
-    functions of letter values, and the words of a parsed trace share
-    their letters, so later comparisons mostly meet the same objects.
+    ``word`` is encoded once and each step edits its codes.  Once a
+    step's result is checked equal to its recorded ``after``, replay
+    continues from that recorded word and decodes later results to its
+    letters: the words of a parsed trace share their letters, so later
+    comparisons mostly meet the same objects.
     """
+    coded = _Coded.encode(word)
     current = word
     for idx, step in enumerate(trace):
         if current != step.before:
@@ -500,14 +615,16 @@ def replay(word: Word, trace: Trace) -> Word:
                 f"step {idx}: expected word {step.before.render()!r}, have {current.render()!r}"
             )
         try:
-            result = apply_step(current, step.rule, step.params)
+            _apply(coded, step.rule, step.params)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             # NotApplicable is a ValueError; the rest come from bad params
             raise ReplayMismatch(f"step {idx}: {step.rule} not applicable: {exc}") from exc
+        result = coded.decode()
         if result != step.after:
             raise ReplayMismatch(
                 f"step {idx}: {step.rule} produced {result.render()!r}, "
                 f"recorded {step.after.render()!r}"
             )
         current = step.after
+        coded.letters.update(zip(coded.codes, current.letters))
     return current

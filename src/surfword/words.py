@@ -420,7 +420,4 @@ def label_sequence() -> Iterator[str]:
 def fresh_label(word: Word) -> str:
     """First label from :func:`label_sequence` unused in ``word``."""
     used = {letter.label for letter in word}
-    for candidate in label_sequence():
-        if candidate not in used:
-            return candidate
-    raise AssertionError("unreachable")
+    return next(name for name in label_sequence() if name not in used)

@@ -84,6 +84,18 @@ class TestTrace:
         assert code == 0
         assert out == ""
 
+    @pytest.mark.parametrize("command", [["trace"], ["classify", "--trace"]])
+    def test_text_trace_bytes(self, capsys, command):
+        classify = command[0] == "classify"
+        _, out, _ = run(capsys, *command, "a x a' y b b'")
+        assert out == ("kind=sphere genus=0 boundary=2 chi=0\n" if classify else "") + (
+            "hive_hole(label=a): \"a x a' y b b'\" -> \"y b b'\"\n"
+            "cancel(pos=1): \"y b b'\" -> 'y'\n"
+        )
+        # an empty trace prints no line at all
+        _, out, _ = run(capsys, *command, "x")
+        assert out == ("kind=sphere genus=0 boundary=1 chi=1\n" if classify else "")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "trace", "--json", "a x a' y")
         document = json.loads(out)

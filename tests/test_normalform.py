@@ -188,17 +188,25 @@ class TestLongWords:
         assert replay(word, Trace.from_json(trace.to_json())) == trace.final_word()
 
     def test_classify_builds_no_intermediate_word(self, monkeypatch):
-        def refuse(word, rule, params=None):
-            raise RuntimeError(f"{rule} applied")
+        decoded = []
+        decode = surfword.rewrite._Coded.decode
 
-        monkeypatch.setattr(surfword.rewrite, "apply_step", refuse)
+        def counted(coded):
+            decoded.append(len(coded.codes))
+            return decode(coded)
+
+        # the one function that turns letter codes into a Word
+        monkeypatch.setattr(surfword.rewrite._Coded, "decode", counted)
         word = random_word(490, 20, 1000)
         assert len(word) == 1000
         assert classify(word) == classify_by_invariants(word)
+        # only the residual word of at most one letter was built
+        assert len(decoded) == 1 and decoded[0] <= 1
         form, trace = normalize(word)
         assert trace.initial_word() == word and len(trace) > 500
-        with pytest.raises(RuntimeError):
-            trace.to_json()
+        decoded.clear()
+        trace.to_json()
+        assert len(decoded) == len(trace)
 
 
 class TestEquivalent:

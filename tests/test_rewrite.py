@@ -1,22 +1,28 @@
 """Rewrite rules, recorded steps, traces, and replay."""
 
+import itertools
 import json
 import random
 import re
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surfword import (
+    CONCORD,
+    DISCORD,
     NotApplicable,
     ReplayMismatch,
     RewriteStep,
+    SignedLetter,
     Trace,
+    Word,
     apply_step,
     block_at,
     cancel,
     fold_concord,
+    fresh_label,
     glue_singles,
     hive_crosscap,
     hive_handle,
@@ -399,3 +405,249 @@ def test_rules_never_partially_rewrite(rule):
 def test_adjacent_pair_rules_name_what_is_missing(rule, text, message):
     with pytest.raises(NotApplicable, match=f"^{message}$"):
         rule(parse(text), 0)
+
+
+# The rules as they were written on Word values before each became one
+# check and one edit on letter codes: the reference the coded rules must
+# reproduce, word for word and message for message.
+
+
+def _reference_delete(word, positions):
+    return Word(tuple(l for i, l in enumerate(word.letters) if i not in positions))
+
+
+def _reference_pair_positions(word, label, character):
+    where = [k for k, letter in enumerate(word.letters) if letter.label == label]
+    if len(where) == 2:
+        i, j = where
+        if (word[i].inverted == word[j].inverted) == (character == CONCORD):
+            return i, j
+    raise NotApplicable(f"{label!r} is not a {character} pair")
+
+
+def _reference_occurs_once(word, label):
+    return sum(letter.label == label for letter in word.letters) == 1
+
+
+def _reference_cyclic_between(n, start, stop):
+    out = []
+    i = (start + 1) % n
+    while i != stop:
+        out.append(i)
+        i = (i + 1) % n
+    return out
+
+
+def _reference_delete_adjacent_pair(word, pos, same_flags, site, shape):
+    n = len(word)
+    if n < 2 or not 0 <= pos < n:
+        raise NotApplicable(f"no {site} at position {pos}")
+    j = (pos + 1) % n
+    a, b = word[pos], word[j]
+    if a.label != b.label or (a.inverted == b.inverted) != same_flags:
+        raise NotApplicable(f"letters at {pos},{j} are not an adjacent {shape} pair")
+    return _reference_delete(word, {pos, j})
+
+
+def _reference_cancel(word, pos):
+    return _reference_delete_adjacent_pair(word, pos, False, "adjacent pair", "inverse")
+
+
+def _reference_transpose_discord(word, label, split):
+    i, j = _reference_pair_positions(word, label, DISCORD)
+    if word[i].inverted:
+        i, j = j, i
+    n = len(word)
+    between = _reference_cyclic_between(n, i, j)
+    offset = (split - (i + 1)) % n
+    if offset > len(between):
+        raise NotApplicable(f"split {split} is not between the occurrences of {label!r}")
+    run = [word[k] for k in between]
+    moved = run[offset:] + run[:offset]
+    out = list(word.letters)
+    for k, letter in zip(between, moved):
+        out[k] = letter
+    return Word(tuple(out))
+
+
+def _reference_fold_concord(word, label):
+    i, j = _reference_pair_positions(word, label, CONCORD)
+    mid = word.letters[i + 1 : j]
+    upright = SignedLetter(label)
+    inverted = tuple(l.inverse() for l in reversed(mid))
+    return Word(word.letters[:i] + inverted + (upright, upright) + word.letters[j + 1 :])
+
+
+def _reference_block_at(word, pos):
+    letters = word.letters
+    n = len(letters)
+    if n < 2:
+        return None
+    a, b = letters[pos], letters[(pos + 1) % n]
+    if a.label == b.label and a.inverted == b.inverted:
+        return 2, (a, b)
+    if n >= 4 and a.label != b.label:
+        c, d = letters[(pos + 2) % n], letters[(pos + 3) % n]
+        if c == a.inverse() and d == b.inverse():
+            return 4, (a, b, c, d)
+    return None
+
+
+def _reference_slide_block(word, block_start, dest):
+    n = len(word)
+    if not 0 <= block_start < n:
+        raise NotApplicable(f"no block at position {block_start}")
+    found = _reference_block_at(word, block_start)
+    if found is None:
+        raise NotApplicable(f"no crosscap or handle block at position {block_start}")
+    size, block = found
+    occupied = {(block_start + k) % n for k in range(size)}
+    if not 0 <= dest < n or dest in occupied:
+        raise NotApplicable(f"destination {dest} is not outside the block")
+    out = []
+    for idx in range(n):
+        if idx == dest:
+            out.extend(block)
+        if idx not in occupied:
+            out.append(word[idx])
+    return Word(tuple(out))
+
+
+def _reference_interleave_to_handle(word, a, b):
+    if a == b:
+        raise NotApplicable("need two distinct labels")
+    a1, a2 = _reference_pair_positions(word, a, DISCORD)
+    b1, b2 = _reference_pair_positions(word, b, DISCORD)
+    n = len(word)
+    marks = {a2: "A", b1: "B", b2: "B"}
+    segments = [[]]
+    seen = []
+    i = (a1 + 1) % n
+    while i != a1:
+        if i in marks:
+            seen.append(i)
+            segments.append([])
+        else:
+            segments[-1].append(word[i])
+        i = (i + 1) % n
+    if [marks[p] for p in seen] != ["B", "A", "B"]:
+        raise NotApplicable(f"pairs {a!r} and {b!r} are not interleaved")
+    beta, gamma, delta, tail = segments
+    x = word[a1]
+    y = word[seen[0]]
+    out = (x, y, x.inverse(), y.inverse())
+    return Word(out + tuple(tail) + tuple(delta) + tuple(gamma) + tuple(beta))
+
+
+def _reference_rotate(word, k):
+    n = len(word.letters)
+    if n == 0:
+        return word
+    k %= n
+    return Word(word.letters[k:] + word.letters[:k])
+
+
+def _reference_invert(word):
+    return Word(tuple(letter.inverse() for letter in reversed(word.letters)))
+
+
+def _reference_glue_singles(word, pos):
+    n = len(word)
+    if n < 2 or not 0 <= pos < n:
+        raise NotApplicable(f"no adjacent singles at position {pos}")
+    j = (pos + 1) % n
+    if not all(_reference_occurs_once(word, word[k].label) for k in (pos, j)):
+        raise NotApplicable(f"letters at {pos},{j} are not both single")
+    merged = SignedLetter(fresh_label(word))
+    return Word(tuple(merged if k == pos else word[k] for k in range(n) if k != j))
+
+
+def _reference_hive_hole(word, label):
+    i, j = _reference_pair_positions(word, label, DISCORD)
+    n = len(word)
+    for first, second in ((i, j), (j, i)):
+        arc = _reference_cyclic_between(n, first, second)
+        if len(arc) == 1 and _reference_occurs_once(word, word[arc[0]].label):
+            return _reference_delete(word, {first, second, arc[0]})
+    raise NotApplicable(f"pair {label!r} does not frame one single letter")
+
+
+def _reference_hive_crosscap(word, pos):
+    return _reference_delete_adjacent_pair(word, pos, True, "block", "concord")
+
+
+def _reference_hive_handle(word, pos):
+    n = len(word)
+    if n < 4 or not 0 <= pos < n:
+        raise NotApplicable(f"no block at position {pos}")
+    found = _reference_block_at(word, pos)
+    if found is None or found[0] != 4:
+        raise NotApplicable(f"no handle block at position {pos}")
+    return _reference_delete(word, {(pos + k) % n for k in range(4)})
+
+
+# rule -> (reference, public function or None, parameter names)
+_REFERENCE_RULES = {
+    "cancel": (_reference_cancel, cancel, ("pos",)),
+    "transpose_discord": (_reference_transpose_discord, transpose_discord, ("label", "split")),
+    "fold_concord": (_reference_fold_concord, fold_concord, ("label",)),
+    "slide_block": (_reference_slide_block, slide_block, ("block_start", "dest")),
+    "interleave_to_handle": (_reference_interleave_to_handle, interleave_to_handle, ("a", "b")),
+    "rotate": (_reference_rotate, None, ("k",)),
+    "invert": (_reference_invert, None, ()),
+    "glue_singles": (_reference_glue_singles, glue_singles, ("pos",)),
+    "hive_hole": (_reference_hive_hole, hive_hole, ("label",)),
+    "hive_crosscap": (_reference_hive_crosscap, hive_crosscap, ("pos",)),
+    "hive_handle": (_reference_hive_handle, hive_handle, ("pos",)),
+}
+
+
+def _outcome(rule, *args):
+    try:
+        return rule(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _sites(word, names):
+    """Every site of a rule on ``word``: each position, one out of range
+    on either side, and each label plus one absent from the word."""
+    n = len(word)
+    values = {
+        "label": [*word.labels(), "z9"],
+        "a": [*word.labels(), "z9"],
+        "b": [*word.labels(), "z9"],
+        "pos": range(-1, n + 1),
+        "split": range(-1, n + 1),
+        "block_start": range(-1, n + 1),
+        "dest": range(-1, n + 1),
+        "k": range(-n - 1, n + 2),
+    }
+    return itertools.product(*(values[name] for name in names))
+
+
+@st.composite
+def _rule_words(draw):
+    """Random words, some with a handle block, a crosscap block or a
+    framed hole inserted, so that every rule meets sites where it
+    applies."""
+    word = draw(words(max_pairs=4, max_singles=3))
+    block = parse(draw(st.sampled_from(["", "v9 w9 v9' w9'", "w9' w9'", "v9 x9 v9'"])))
+    at = draw(st.integers(0, len(word)))
+    return Word(word.letters[:at] + block.letters + word.letters[at:])
+
+
+@pytest.mark.parametrize("rule", sorted(_REFERENCE_RULES))
+@given(_rule_words())
+@settings(max_examples=80, deadline=None)
+def test_rules_match_their_word_references(rule, word):
+    reference, public, names = _REFERENCE_RULES[rule]
+    for args in _sites(word, names):
+        expected = _outcome(reference, word, *args)
+        got = _outcome(apply_step, word, rule, dict(zip(names, args)))
+        assert got == expected, (rule, word.render(), args)
+        if public is not None:
+            assert _outcome(public, word, *args) == expected, (rule, word.render(), args)
+    if rule == "slide_block":
+        for pos in range(len(word)):
+            assert block_at(word, pos) == _reference_block_at(word, pos)
