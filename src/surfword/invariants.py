@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .normalform import NormalForm, _partners
 from .rewrite import _apply, _block_size, _Coded, _invert
-from .words import SignedLetter, Word, label_sequence
+from .words import SignedLetter, Word, _least_rotation, label_sequence
 
 __all__ = [
     "CornerComplex",
@@ -262,6 +261,8 @@ class Orbit:
 
     words: frozenset[Word]
     truncated: bool
+    # the members' canonical keys, built by the first ``in``
+    _keys: frozenset[tuple] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -272,23 +273,23 @@ class Orbit:
     def __contains__(self, word: object) -> bool:
         if not isinstance(word, Word):
             return False
-        key = word.canonical_key()
-        return any(
-            len(member) == len(word) and member.canonical_key() == key for member in self.words
-        )
+        if self._keys is None:
+            object.__setattr__(self, "_keys", frozenset(m.canonical_key() for m in self.words))
+        return word.canonical_key() in self._keys
 
 
-def _neighbor(base: _Coded, spin: int, rule: str, **params) -> Word:
-    """``rule`` with ``params`` applied to a copy of ``base`` rotated
-    left by ``spin``."""
+def _neighbor(base: _Coded, spin: int, rule: str, **params) -> list[int]:
+    """The codes, not decoded, of ``rule`` with ``params`` applied to a
+    copy of ``base`` rotated left by ``spin``."""
     coded = _Coded(base.codes[spin:] + base.codes[:spin], base.names, base.letters)
     _apply(coded, rule, params)
-    return coded.decode()
+    return coded.codes
 
 
-def _orbit_neighbors(word: Word) -> Iterator[Word]:
-    """All words one rule application away from ``word``, read from the
-    codes of the word and of its inversion, each encoded once.
+def _orbit_neighbors(forward: _Coded) -> Iterator[list[int]]:
+    """The codes of all words one rule application away from the coded
+    word ``forward``, read from its codes and from those of its
+    inversion; none adds a label, so all decode with its labels.
 
     Each rule is applied, to a copy, only at the sites where it
     applies, so none raises :class:`NotApplicable`: ``cancel`` where
@@ -304,10 +305,9 @@ def _orbit_neighbors(word: Word) -> Iterator[Word]:
     The same neighbor can come out more than once; :func:`bfs_orbit`
     deduplicates by key.
     """
-    n = len(word)
+    n = len(forward.codes)
     if n == 0:
         return
-    forward = _Coded.encode(word)
     backward = _Coded(forward.codes.copy(), forward.names, forward.letters)
     _invert(backward.codes)
     for base in (forward, backward):
@@ -343,6 +343,11 @@ def _orbit_neighbors(word: Word) -> Iterator[Word]:
                         yield _neighbor(base, p, "interleave_to_handle", a=a, b=b)
 
 
+def _key(codes: list[int]) -> tuple:
+    """The least rotation of ``codes`` or of their inversion, as in :meth:`Word.canonical_key`."""
+    return min(_least_rotation(codes), _least_rotation([c ^ 1 for c in reversed(codes)]))
+
+
 def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None = None) -> Orbit:
     """Breadth-first closure of ``word`` under the rewrite rules.
 
@@ -352,26 +357,30 @@ def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None 
     ``truncated`` flag.  No rule lengthens a word, so the closure is
     finite even unbounded.  ``Orbit.words`` holds one member per class,
     which may be any rotation or inversion of it; compare members with
-    :meth:`Word.canonical_key` or ``in``.
+    :meth:`Word.canonical_key` or ``in``.  The states are letter codes,
+    and each member but ``word`` itself is decoded once, at the end.
     """
-    seen: dict[tuple, Word] = {word.canonical_key(): word}
-    queue: deque[Word] = deque([word])
+    start = _Coded.encode(word)
+    states = [start.codes]
+    seen = {_key(start.codes)}
     truncated = False
-    while queue and not truncated:
-        current = queue.popleft()
-        inverse = current.invert()
-        for neighbor in _orbit_neighbors(current):
+    for codes in states:  # the list grows as the search admits states
+        inverse = [c ^ 1 for c in reversed(codes)]
+        for neighbor in _orbit_neighbors(_Coded(codes, start.names, start.letters)):
             # the state itself, whose key is already seen
-            if neighbor in (current, inverse):
+            if neighbor in (codes, inverse):
                 continue
             if max_length is not None and len(neighbor) > max_length:
                 continue
-            key = neighbor.canonical_key()
+            key = _key(neighbor)
             if key in seen:
                 continue
             if max_states is not None and len(seen) >= max_states:
                 truncated = True
                 break
-            seen[key] = neighbor
-            queue.append(neighbor)
-    return Orbit(frozenset(seen.values()), truncated)
+            seen.add(key)
+            states.append(neighbor)
+        if truncated:
+            break
+    members = [_Coded(codes, start.names, start.letters).decode() for codes in states[1:]]
+    return Orbit(frozenset([word, *members]), truncated)

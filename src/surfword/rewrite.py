@@ -221,8 +221,9 @@ def block_at(word: Word, pos: int) -> tuple[int, tuple[SignedLetter, ...]] | Non
     ``(4, letters)`` for a handle block ``x y x' y'``, else ``None``.
     In a valid word the two shapes cannot start at the same position.
     """
-    size = _block_size(_Coded.encode(word).codes, pos)
-    return (size, tuple(word[(pos + k) % len(word)] for k in range(size))) if size else None
+    window = _checked_word(tuple(word[(pos + k) % len(word)] for k in range(min(len(word), 4))))
+    size = _block_size(_Coded.encode(window).codes, 0)
+    return (size, window.letters[:size]) if size else None
 
 
 def _slide_block(coded: _Coded, block_start: int, dest: int) -> None:

@@ -47,6 +47,28 @@ def relabeled(word: Word, offset: int = 7) -> Word:
     return Word(tuple(SignedLetter(mapping[l.label], l.inverted) for l in word))
 
 
+def every_word_over_three_labels():
+    """Every valid word over the labels ``a``, ``b`` and ``c``, each
+    used zero, one or two times with either flag (criterion 5)."""
+    labels = ("a", "b", "c")
+
+    def build(prefix, counts):
+        if all(count == 0 for count in counts.values()):
+            yield Word(tuple(prefix))
+            return
+        for label in labels:
+            if counts[label]:
+                counts[label] -= 1
+                for flag in (False, True):
+                    prefix.append(SignedLetter(label, flag))
+                    yield from build(prefix, counts)
+                    prefix.pop()
+                counts[label] += 1
+
+    for usage in itertools.product((0, 1, 2), repeat=3):
+        yield from build([], dict(zip(labels, usage)))
+
+
 def _base_word(rng: random.Random) -> Word:
     from surfword import random_word
 

@@ -5,7 +5,6 @@ results and the target runtime.  The terminal summary hook in conftest
 prints one PASS/FAIL line per criterion at the end of a run.
 """
 
-import itertools
 import random
 import time
 
@@ -28,9 +27,8 @@ from surfword import (
     random_word,
     replay,
 )
-from surfword.words import SignedLetter, Word
 
-from conftest import REWRITE_RULES, applicable_instance
+from conftest import REWRITE_RULES, applicable_instance, every_word_over_three_labels
 
 
 def test_criterion_1_classical_identities():
@@ -85,26 +83,6 @@ def test_criterion_4_per_rule_conservation():
             assert rewritten.pairing().has_concord() == word.pairing().has_concord()
 
 
-def _every_word_over_three_labels():
-    labels = ("a", "b", "c")
-
-    def build(prefix, counts):
-        if all(count == 0 for count in counts.values()):
-            yield Word(tuple(prefix))
-            return
-        for label in labels:
-            if counts[label]:
-                counts[label] -= 1
-                for flag in (False, True):
-                    prefix.append(SignedLetter(label, flag))
-                    yield from build(prefix, counts)
-                    prefix.pop()
-                counts[label] += 1
-
-    for usage in itertools.product((0, 1, 2), repeat=3):
-        yield from build([], dict(zip(labels, usage)))
-
-
 def test_criterion_5_orbit_well_definedness():
     """Every valid word over at most 3 labels, enumerated exhaustively
     up to cyclic equality, has an orbit whose members all share one
@@ -116,7 +94,7 @@ def test_criterion_5_orbit_well_definedness():
     """
     start = time.perf_counter()
     representatives = {}
-    for word in _every_word_over_three_labels():
+    for word in every_word_over_three_labels():
         representatives.setdefault(word.canonical_key(), word)
     assert len(representatives) > 900
 

@@ -37,8 +37,9 @@ from surfword import (
 )
 import surfword.invariants
 from surfword.invariants import _orbit_neighbors
+from surfword.rewrite import _Coded
 
-from conftest import relabeled, words
+from conftest import every_word_over_three_labels, relabeled, words
 
 
 class TestCornerComplex:
@@ -277,7 +278,9 @@ def _every_rotation_neighbors(word):
 
 def _assert_same_neighbors(word):
     expected = {w.canonical_key() for w in _every_rotation_neighbors(word)}
-    assert {w.canonical_key() for w in _orbit_neighbors(word)} == expected
+    coded = _Coded.encode(word)
+    decoded = (_Coded(c, coded.names, coded.letters).decode() for c in _orbit_neighbors(coded))
+    assert {w.canonical_key() for w in decoded} == expected
 
 
 @given(words(max_pairs=3, max_singles=2))
@@ -302,12 +305,104 @@ ORBIT_DIGESTS = {
 }
 
 
+def _digest(orbit):
+    renders = "\n".join(sorted(member.render() for member in orbit.words))
+    return hashlib.sha256(renders.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("text", sorted(ORBIT_DIGESTS))
 def test_orbit_members_are_pinned(text):
     orbit = bfs_orbit(parse(text))
     assert not orbit.truncated
-    renders = "\n".join(sorted(member.render() for member in orbit.words))
-    assert hashlib.sha256(renders.encode()).hexdigest() == ORBIT_DIGESTS[text]
+    assert _digest(orbit) == ORBIT_DIGESTS[text]
+
+
+# (truncated, digest as above) of searches capped at 2, 10 and 50 states,
+# computed before the orbit search ran on letter codes
+CAPPED_DIGESTS = {
+    "a b a b": [
+        (2, True, "9d25584b3a12f3e1d3a7c379762d944871c4511b5b80346e0a365e918e260c1b"),
+        (10, False, "d9d22b55bf8e3c4932ad3ae25ee3657562bd783a5614ea774403d1fb7db5e729"),
+        (50, False, "d9d22b55bf8e3c4932ad3ae25ee3657562bd783a5614ea774403d1fb7db5e729"),
+    ],
+    "a b a' b' x y z w": [
+        (2, True, "077debfa82d080229761a9bfcf524cd24169d9251938610936d369d60e3d47e2"),
+        (10, True, "ee922ffb90429060c992031038d15cda9335eff7708268d71c126c6eea2ffead"),
+        (50, True, "764c5c7b6778590664ed46c89ab2188621ccacc9056aec6b29247369958ec227"),
+    ],
+    "a a b b x y z w": [
+        (2, True, "47df8dddd5a5fe2f9a20092a2ec9705cfb42d4002dc17b1f27211a7d35bcc579"),
+        (10, True, "4641c62d330c551d038de0a7281cc7458d33372894caaf51cdbdceb03edb01e2"),
+        (50, True, "14637ab97fb364b28763c3ddfda402b90ac97ee6d7f28f74b84b805d7ff29cb1"),
+    ],
+    "a x b y a' z b' w": [
+        (2, True, "64cc5c02196a1810876ad832966f8401eabbee265db30a3f9b014446013f9c9c"),
+        (10, True, "47801fad433126e141e935bac0c8fe2d952dc495dffb9d62acb1ae7711d38ac7"),
+        (50, True, "18293ee1f6e74f4b4bfc889cd0df654236074402b684455ce06672ba58541356"),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "text, cap, truncated, digest",
+    [(text, *entry) for text, entries in sorted(CAPPED_DIGESTS.items()) for entry in entries],
+)
+def test_capped_orbit_members_are_pinned(text, cap, truncated, digest):
+    orbit = bfs_orbit(parse(text), max_states=cap)
+    assert (orbit.truncated, _digest(orbit)) == (truncated, digest)
+
+
+def _reference_orbit_keys(word, max_length):
+    """Keys of the closure of ``word``, searched breadth first over
+    :func:`_every_rotation_neighbors` and keyed by ``canonical_key``."""
+    seen = {word.canonical_key()}
+    states = [word]
+    for state in states:
+        for neighbor in _every_rotation_neighbors(state):
+            key = neighbor.canonical_key()
+            if len(neighbor) <= max_length and key not in seen:
+                seen.add(key)
+                states.append(neighbor)
+    return seen
+
+
+@given(words(max_pairs=3, max_singles=2), st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_bfs_orbit_matches_a_reference_search(word, max_length):
+    orbit = bfs_orbit(word, max_length=max_length)
+    assert not orbit.truncated
+    expected = _reference_orbit_keys(word, max_length)
+    assert {member.canonical_key() for member in orbit} == expected
+
+
+def test_bfs_orbit_decodes_each_member_at_most_once():
+    decode = _Coded.decode
+    calls = []
+
+    def counted(coded):
+        calls.append(coded)
+        return decode(coded)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Coded, "decode", counted)
+        orbit = bfs_orbit(parse("a a b b x y z w"))
+    assert len(orbit.words) == 112
+    assert len(calls) <= len(orbit.words)
+
+
+@pytest.fixture(scope="module")
+def class_words():
+    """One word of each of the 949 criterion-5 classes."""
+    return list({w.canonical_key(): w for w in every_word_over_three_labels()}.values())
+
+
+@pytest.mark.parametrize("text", ["a b a b", "a a b b x y z w", "a x b y a' z b' w"])
+def test_membership_agrees_with_cyclic_equality(text, class_words):
+    orbit = bfs_orbit(parse(text))
+    spun = [b.rotate(k) for m in orbit for b in (m, m.invert()) for k in range(len(m))]
+    assert len(class_words) == 949
+    for word in class_words + spun:
+        assert (word in orbit) == any(m.cyclic_equal(word) for m in orbit), word.render()
 
 
 _SITE_RULES = ("cancel", "transpose_discord", "fold_concord", "slide_block", "interleave_to_handle")
@@ -331,7 +426,7 @@ def test_orbit_neighbors_call_rules_only_where_they_apply(word):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(surfword.invariants, "_apply", strict)
-        neighbors = list(_orbit_neighbors(word))
+        neighbors = list(_orbit_neighbors(_Coded.encode(word)))
     # every neighbor came through one of the five site rules
     assert set(calls) <= set(_SITE_RULES)
     assert len(calls) == len(neighbors)

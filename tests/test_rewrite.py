@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from surfword import (
@@ -651,3 +651,36 @@ def test_rules_match_their_word_references(rule, word):
     if rule == "slide_block":
         for pos in range(len(word)):
             assert block_at(word, pos) == _reference_block_at(word, pos)
+
+
+def _pairing_block_at(word, pos):
+    """``block_at`` read from the pairing table: a concord pair at the
+    cyclic positions ``pos`` and ``pos + 1``, or discord pairs at ``pos``,
+    ``pos + 2`` and at ``pos + 1``, ``pos + 3``."""
+    n = len(word)
+    if n < 2:
+        return None
+    table = word.pairing()
+    at = [(pos + k) % n for k in range(4)]
+
+    def paired(i, j, character):
+        entry = table[word[i].label]
+        return entry.character == character and set(entry.positions) == {i, j}
+
+    if paired(at[0], at[1], CONCORD):
+        return 2, (word[at[0]], word[at[1]])
+    if n >= 4 and paired(at[0], at[2], DISCORD) and paired(at[1], at[3], DISCORD):
+        return 4, tuple(word[k] for k in at)
+    return None
+
+
+@given(words(max_pairs=5, max_singles=3))
+@example(parse("a b a' b' x"))
+@example(parse("b' y a' b a"))
+@example(parse("a' b a b'"))
+@example(parse("a x a"))
+@example(parse("a a"))
+@settings(max_examples=150, deadline=None)
+def test_block_at_matches_the_pairing_table(word):
+    for pos in range(len(word)):
+        assert block_at(word, pos) == _pairing_block_at(word, pos), (word.render(), pos)

@@ -18,8 +18,7 @@ from surfword import (
     random_word,
 )
 
-from conftest import relabeled, words
-from test_acceptance import _every_word_over_three_labels
+from conftest import every_word_over_three_labels, relabeled, words
 
 
 class TestParse:
@@ -180,7 +179,7 @@ class TestCanonicalKey:
             assert same == expected, (first.render(), other.render())
 
     def test_class_counts_of_the_three_label_enumeration(self):
-        every = list(_every_word_over_three_labels())
+        every = list(every_word_over_three_labels())
         assert len({word.canonical_key() for word in every}) == 949
         assert len({word.canonical_key(up_to_relabel=True) for word in every}) == 187
 
