@@ -317,7 +317,7 @@ def test_orbit_members_are_pinned(text):
     assert _digest(orbit) == ORBIT_DIGESTS[text]
 
 
-# (truncated, digest as above) of searches capped at 2, 10 and 50 states,
+# (cap, truncated, digest as above) of searches capped at 2, 10 and 50 states,
 # computed before the orbit search ran on letter codes
 CAPPED_DIGESTS = {
     "a b a b": [
