@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .normalform import NormalForm, _partners
-from .rewrite import _apply, _block_size, _Coded, _invert
+from .rewrite import _apply, _block_size, _Coded, _inverse
 from .words import SignedLetter, Word, _least_rotation, label_sequence
 
 __all__ = [
@@ -261,8 +261,6 @@ class Orbit:
 
     words: frozenset[Word]
     truncated: bool
-    # the members' canonical keys, built by the first ``in``
-    _keys: frozenset[tuple] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -273,14 +271,12 @@ class Orbit:
     def __contains__(self, word: object) -> bool:
         if not isinstance(word, Word):
             return False
-        if self._keys is None:
-            object.__setattr__(self, "_keys", frozenset(m.canonical_key() for m in self.words))
-        return word.canonical_key() in self._keys
+        key = word.canonical_key()
+        return any(len(m) == len(word) and m.canonical_key() == key for m in self.words)
 
 
 def _neighbor(base: _Coded, spin: int, rule: str, **params) -> list[int]:
-    """The codes, not decoded, of ``rule`` with ``params`` applied to a
-    copy of ``base`` rotated left by ``spin``."""
+    """Codes of ``rule`` with ``params`` applied to a copy of ``base`` rotated left by ``spin``."""
     coded = _Coded(base.codes[spin:] + base.codes[:spin], base.names, base.letters)
     _apply(coded, rule, params)
     return coded.codes
@@ -306,11 +302,7 @@ def _orbit_neighbors(forward: _Coded) -> Iterator[list[int]]:
     deduplicates by key.
     """
     n = len(forward.codes)
-    if n == 0:
-        return
-    backward = _Coded(forward.codes.copy(), forward.names, forward.letters)
-    _invert(backward.codes)
-    for base in (forward, backward):
+    for base in (forward, _Coded(_inverse(forward.codes), forward.names, forward.letters)):
         codes, names = base.codes, base.names
         # paired labels in order of first occurrence, with their positions
         pairs = [(names[codes[i] >> 1], (i, j)) for i, j in enumerate(_partners(codes)) if i < j]
@@ -345,7 +337,7 @@ def _orbit_neighbors(forward: _Coded) -> Iterator[list[int]]:
 
 def _key(codes: list[int]) -> tuple:
     """The least rotation of ``codes`` or of their inversion, as in :meth:`Word.canonical_key`."""
-    return min(_least_rotation(codes), _least_rotation([c ^ 1 for c in reversed(codes)]))
+    return min(_least_rotation(codes), _least_rotation(_inverse(codes)))
 
 
 def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None = None) -> Orbit:
@@ -365,7 +357,7 @@ def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None 
     seen = {_key(start.codes)}
     truncated = False
     for codes in states:  # the list grows as the search admits states
-        inverse = [c ^ 1 for c in reversed(codes)]
+        inverse = _inverse(codes)
         for neighbor in _orbit_neighbors(_Coded(codes, start.names, start.letters)):
             # the state itself, whose key is already seen
             if neighbor in (codes, inverse):

@@ -179,7 +179,7 @@ def transpose_discord(word: Word, label: str, split: int) -> Word:
 def _fold(codes: list[int], i: int, j: int) -> None:
     """The edit of ``fold_concord`` at the concord pair stored at ``i < j``."""
     up = codes[i] & ~1
-    codes[i : j - 1] = [code ^ 1 for code in reversed(codes[i + 1 : j])]
+    codes[i : j - 1] = _inverse(codes[i + 1 : j])
     codes[j - 1] = codes[j] = up
 
 
@@ -221,7 +221,11 @@ def block_at(word: Word, pos: int) -> tuple[int, tuple[SignedLetter, ...]] | Non
     ``(4, letters)`` for a handle block ``x y x' y'``, else ``None``.
     In a valid word the two shapes cannot start at the same position.
     """
-    window = _checked_word(tuple(word[(pos + k) % len(word)] for k in range(min(len(word), 4))))
+    n = len(word)
+    if n < 2:
+        return None
+    # ``word[pos]`` raises IndexError for a position outside the word
+    window = _checked_word((word[pos], *(word[(pos + k) % n] for k in range(1, min(n, 4)))))
     size = _block_size(_Coded.encode(window).codes, 0)
     return (size, window.letters[:size]) if size else None
 
@@ -295,8 +299,12 @@ def _rotate(codes: list[int], k: int) -> None:
         codes[:] = codes[k:] + codes[:k]
 
 
+def _inverse(codes: list[int]) -> list[int]:
+    return [code ^ 1 for code in reversed(codes)]
+
+
 def _invert(codes: list[int]) -> None:
-    codes[:] = [code ^ 1 for code in reversed(codes)]
+    codes[:] = _inverse(codes)
 
 
 def _glue(coded: _Coded, pos: int) -> None:

@@ -682,5 +682,15 @@ def _pairing_block_at(word, pos):
 @example(parse("a a"))
 @settings(max_examples=150, deadline=None)
 def test_block_at_matches_the_pairing_table(word):
-    for pos in range(len(word)):
+    n = len(word)
+    for pos in range(n):
         assert block_at(word, pos) == _pairing_block_at(word, pos), (word.render(), pos)
+        # a negative position counts from the end, as in indexing
+        assert block_at(word, pos - n) == block_at(word, pos)
+    if n < 2:
+        assert block_at(word, n) is None
+    else:
+        with pytest.raises(IndexError):
+            block_at(word, n)
+        with pytest.raises(IndexError):
+            block_at(word, -n - 1)
