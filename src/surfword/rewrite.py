@@ -19,8 +19,8 @@ with :func:`replay` recomputes every step from its parameters and
 verifies each intermediate word exactly.  A trace can also be stored as
 its moves alone (:meth:`Trace.from_moves`, which ``normalize`` uses):
 the initial word, each ``(rule, params)`` and the final word.  Its
-intermediate words are then built on demand, once, when its steps are
-first read.
+intermediate words are built once, when its steps are first read; it
+is written to JSON from the codes, without them.
 """
 
 from __future__ import annotations
@@ -482,11 +482,11 @@ class Trace:
     ``after``.  Serializes to a JSON array of step objects.
 
     A trace made by :meth:`from_moves` stores only its initial word, its
-    ``(rule, params)`` moves and its final word.  Its steps, with the
-    words between, are built the first time they are read: the initial
-    word is encoded once, the moves edit its codes, and each word
-    between is decoded once.  The build checks that the moves reach the
-    final word.
+    ``(rule, params)`` moves and its final word.  One walk serves it: the
+    initial word is encoded once, the moves edit its codes, and the walk
+    checks that they reach the final word.  Its steps, with the words
+    between, are built the first time they are read, each word decoded
+    once.  Until then it is written from the codes, and builds no step.
     """
 
     __slots__ = ("_initial", "_moves", "_final", "_steps")
@@ -513,22 +513,28 @@ class Trace:
             trace._initial, trace._final, trace._steps = initial, final, None
         return trace
 
+    def _walk(self) -> Iterator[_Coded]:
+        """Apply the moves, each with its checks, to the codes of the
+        initial word, yielding the coded word after each move; check at
+        the end that the moves reach the final word."""
+        coded = _Coded.encode(self._initial)
+        for rule, params in self._moves:
+            _apply(coded, rule, params)
+            yield coded
+        word = coded.decode()
+        if word != self._final:
+            raise AssertionError(
+                f"moves reach {word.render()!r}, not the final word {self._final.render()!r}"
+            )
+
     @property
     def steps(self) -> tuple[RewriteStep, ...]:
         if self._steps is None:
-            steps = []
-            word = self._initial
-            coded = _Coded.encode(word)
-            for rule, params in self._moves:
-                _apply(coded, rule, params)
-                after = coded.decode()
-                steps.append(RewriteStep(rule, params, word, after))
-                word = after
-            if word != self._final:
-                raise AssertionError(
-                    f"moves reach {word.render()!r}, not the final word {self._final.render()!r}"
-                )
-            self._steps = tuple(steps)
+            words = [self._initial, *(coded.decode() for coded in self._walk())]
+            self._steps = tuple(
+                RewriteStep(rule, params, before, after)
+                for (rule, params), before, after in zip(self._moves, words, words[1:])
+            )
         return self._steps
 
     def __len__(self) -> int:
@@ -569,15 +575,23 @@ class Trace:
         """The steps as the JSON-ready objects of :meth:`to_json`.
 
         Each word is rendered once: a step's ``after`` text is also the
-        next step's ``before``.
+        next step's ``before``.  A trace whose steps are not built is
+        written from the codes of its walk, each word joined from one
+        token per code, and builds no step.
         """
-        steps = self.steps
-        if not steps:
-            return []
-        texts = [steps[0].before.render()] + [step.after.render() for step in steps]
+        if self._steps is not None:
+            steps = self._steps
+            texts = [step.before.render() for step in steps[:1]]
+            texts += [step.after.render() for step in steps]
+        else:
+            texts, tokens = [self._initial.render()], []
+            for coded in self._walk():
+                if len(tokens) < 2 * len(coded.names):  # first word, or glue_singles named a label
+                    tokens = [token for name in coded.names for token in (name, name + "'")]
+                texts.append(" ".join(map(tokens.__getitem__, coded.codes)))
         return [
-            {"rule": step.rule, "params": dict(step.params), "before": before, "after": after}
-            for step, before, after in zip(steps, texts, texts[1:])
+            {"rule": rule, "params": dict(params), "before": before, "after": after}
+            for (rule, params), before, after in zip(self._moves, texts, texts[1:])
         ]
 
     def to_json(self, indent: int | None = None) -> str:

@@ -393,14 +393,16 @@ def _parse_shared(text: str, letters: dict[str, SignedLetter]) -> Word:
     """
     tokens = text.split()
     if len(tokens) > 1:
-        for token in set(tokens).difference(letters):
-            if not _TOKEN_RE.fullmatch(token):
-                break
-            letters[token] = _checked_letter(token.rstrip("'"), token.endswith("'"))
-        else:
+        try:
             shared = tuple(map(letters.__getitem__, tokens))
-            if max(Counter(map(attrgetter("label"), shared)).values()) <= 2:
-                return _checked_word(shared)
+        except KeyError:  # scan only when some token is new
+            for token in set(tokens).difference(letters):
+                if not _TOKEN_RE.fullmatch(token):
+                    return Word.parse(text)
+                letters[token] = _checked_letter(token.rstrip("'"), token.endswith("'"))
+            shared = tuple(map(letters.__getitem__, tokens))
+        if max(Counter(map(attrgetter("label"), shared)).values()) <= 2:
+            return _checked_word(shared)
     return Word.parse(text)
 
 

@@ -204,9 +204,18 @@ class TestLongWords:
         assert len(decoded) == 1 and decoded[0] <= 1
         form, trace = normalize(word)
         assert trace.initial_word() == word and len(trace) > 500
-        decoded.clear()
-        trace.to_json()
-        assert len(decoded) == len(trace)
+        # a trace is written from its codes: at most the final word is built
+        for write in (trace.to_json, trace.describe):
+            decoded.clear()
+            write()
+            assert len(decoded) <= 1
+
+    def test_long_trace_is_pinned(self):
+        word = random_word(400, 40, 1)
+        _, trace = normalize(word)
+        assert (len(word), len(trace)) == (840, 829)
+        digest = hashlib.sha256(trace.to_json().encode()).hexdigest()
+        assert digest == "45fb69f817c381118f27f75f71efd430cc0e33078f2888698b9046c5a98d1480"
 
 
 class TestEquivalent:

@@ -35,7 +35,7 @@ from surfword import (
     transpose_discord,
 )
 
-from conftest import REWRITE_RULES, applicable_instance, words
+from conftest import REWRITE_RULES, applicable_instance, relabeled, words
 
 
 def _identity_chain(*texts):
@@ -324,14 +324,18 @@ class TestTraceAndReplay:
         assert [step.after for step in trace] == [parse(text), parse(text)]
 
     @pytest.mark.parametrize(
-        "text", ["a A", "A", "a b'' c", "a a a", "a a' b a", "aaa", "a1 b a1' b a1"]
+        "text",
+        ["a A", "A", "a b'' c", "a a a", "a a' b a", "aaa", "a1 b a1' b a1"]
+        # every token known when the word is read; known tokens beside a bad one
+        + ["a a' a", "b b b", "a b B"],
     )
     def test_from_json_rejects_bad_words_as_word_parse_does(self, text):
         with pytest.raises(ValueError) as expected:
             parse(text)
         message = f"^{re.escape(str(expected.value))}$"
         with pytest.raises(type(expected.value), match=message) as caught:
-            Trace.from_json(_identity_chain("a b' c", text))
+            # the words before ``text`` make the tokens a, a', b and b' known
+            Trace.from_json(_identity_chain("a b' c", "a a' b", text))
         assert type(caught.value) is type(expected.value)
 
     @given(words(), st.integers(min_value=0))
@@ -360,6 +364,22 @@ class TestTraceAndReplay:
         assert trace.final_word() == parse("y")
         with pytest.raises(AssertionError):
             list(trace)
+
+    @pytest.mark.parametrize("write", [Trace.to_json, Trace.describe])
+    def test_trace_from_moves_checks_the_final_word_when_written(self, write):
+        trace = Trace.from_moves(parse("a a' x"), [("cancel", {"pos": 0})], parse("y"))
+        with pytest.raises(AssertionError, match="not the final word"):
+            write(trace)
+
+    @given(st.builds(relabeled, words(max_pairs=4, max_singles=4), st.integers(0, 8)))
+    @example(parse("x y z w"))
+    def test_lazy_and_built_traces_write_the_same(self, word):
+        # labels past ``a`` make glue_singles name labels the word never had
+        _, trace = normalize(word)
+        text, lines = trace.to_json(), trace.describe()
+        built = Trace(list(trace))
+        assert text == built.to_json() and lines == built.describe()
+        assert Trace.from_json(text) == trace
 
     def test_trace_slicing_and_accessors(self):
         trace = self._sample_trace()
