@@ -18,8 +18,8 @@ genus ``p + 2t`` when ``p > 0``, the orientable genus ``t`` when
 the tallied holes.
 
 The stages work on one coded word, not on :class:`Word` values: each
-finds a rule's site, applies that rule's own edit from
-:mod:`surfword.rewrite` there, and records the rule and its parameters.
+step finds a rule's site in one O(n) pass, applies that rule's own edit
+from :mod:`surfword.rewrite` there (O(n) too), and records the rule.
 The returned :class:`Trace` keeps those moves with the initial and final
 words and builds the words between on demand, so :func:`classify` and
 :func:`equivalent` never build them.
@@ -112,49 +112,49 @@ def _partners(cur: list[int]) -> list[int]:
 
 
 def _crosscap_site(cur: list[int]) -> tuple[int, int] | None:
-    """Stored positions of the concord pair whose label occurs first."""
-    last = {code >> 1: k for k, code in enumerate(cur)}
+    """Stored positions of the first code that occurs twice: a concord pair."""
+    last = dict(zip(cur, range(len(cur))))
+    if len(last) == len(cur):
+        return None
     for i, code in enumerate(cur):
-        j = last[code >> 1]
-        if j > i and cur[j] == code:
-            return i, j
-    return None
+        if last[code] > i:
+            return i, last[code]
 
 
-def _handle_site(partner: list[int]) -> tuple[int, int] | None:
-    """First occurrences of the interleaved pairs ``a`` and ``b``: ``a``
-    the first pair, in order of first occurrence, that crosses another,
-    and ``b`` the first pair that crosses ``a``.
-
-    Scanning left to right with a stack of open pairs, a pair closing
-    below the top crosses every pair above it, and every crossing is
-    seen at the close of the pair that opened first.  Closed pairs left
-    inside the stack are popped once they reach the top.
-    """
+def _handle_site(cur: list[int], singles: set[int]) -> tuple[int, int, int, int] | None:
+    """Stored positions ``(a1, a2, b1, b2)`` of ``a``, the first pair by
+    first occurrence that crosses another, and ``b``, the first pair that
+    crosses ``a``, in a word with no concord pair and single labels
+    ``singles``.  Scanning with a stack of labels, a pair closing below the
+    top crosses every pair above it, and every crossing is seen at the
+    close of the pair that opened first.  Singles and closed pairs left in
+    the stack are popped when they reach the top."""
+    first: dict[int, int] = {}
     stack: list[int] = []
-    closed = [False] * len(partner)
-    a1 = None
-    for k, p in enumerate(partner):
-        if p > k:
-            stack.append(k)
-        elif p < k:
-            while closed[stack[-1]]:
+    closed = set(singles)
+    a1 = a2 = n = len(cur)
+    for k, code in enumerate(cur):
+        label = code >> 1
+        opened = first.setdefault(label, k)
+        if opened == k:
+            stack.append(label)
+        else:
+            while stack[-1] in closed:
                 stack.pop()
-            if stack[-1] == p:
+            if stack[-1] == label:
                 stack.pop()
             else:
-                closed[p] = True
-                if a1 is None or p < a1:
-                    a1 = p
-    if a1 is None:
+                closed.add(label)
+                if opened < a1:
+                    a1, a2 = opened, k
+    if a1 == n:
         return None
-    a2 = partner[a1]
-    # a pair crossing a has one occurrence inside it; one that opened
-    # before a1 occurs first of all, else take the first that closes after a2
-    before = min(partner[a1 + 1 : a2])
-    if before < a1:
-        return a1, before
-    return a1, next(k for k in range(a1 + 1, a2) if partner[k] > a2)
+    # b has one occurrence inside a and the other after a2: a pair that
+    # opened before a1 and closed inside a would have set a smaller a1
+    arc = set(cur[a1 + 1 : a2])
+    for b1 in range(a1 + 1, a2):
+        if cur[b1] ^ 1 not in arc and cur[b1] >> 1 not in singles:
+            return a1, a2, b1, cur.index(cur[b1] ^ 1, a2 + 1)
 
 
 def _glue_site(partner: list[int]) -> int | None:
@@ -199,10 +199,13 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
     rewrite applied, chained from ``word`` down to the residual word
     (empty, or one single letter standing for the last hole).
 
-    The stages find each site on the letter codes ``2 * id + inverted``
-    of the encoded word and apply the rule's own edit there, without its
-    check, recording ``(rule, params)``; the trace builds the words
-    between only when they are read.  A ``fold_concord`` or
+    Each step finds its site in one pass over the letter codes ``2 * id
+    + inverted``: the crosscap stage looks for the first code that occurs
+    twice; the handle stage, with no concord pair left, reads a pair's
+    other occurrence as the inverse code and takes its single labels,
+    which it never moves, once; the boundary stage reads a table of
+    partner positions.  It applies the rule's own edit there, unchecked,
+    and records ``(rule, params)``.  A ``fold_concord`` or
     ``interleave_to_handle`` that would return its input is not recorded.
     """
     coded = _Coded.encode(word)
@@ -220,13 +223,10 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
         crosscaps += 1
 
     handles = 0
-    while True:
-        partner = _partners(codes)
-        site = _handle_site(partner)
-        if site is None:
-            break
-        a1, b1 = site
-        a2, b2 = partner[a1], partner[b1]
+    present = set(codes)
+    singles = {code >> 1 for code in present if code ^ 1 not in present}
+    while (site := _handle_site(codes, singles)) is not None:
+        a1, a2, b1, b2 = site
         b_in, b_out = (b1, b2) if a1 < b1 else (b2, b1)
         if (a1, b_in, a2, b_out) != (0, 1, 2, 3):
             a, b = names[codes[a1] >> 1], names[codes[b1] >> 1]

@@ -404,12 +404,35 @@ _APPLIERS = {
 
 def _apply(coded: _Coded, rule: str, params: dict | None) -> None:
     """Apply ``rule`` with ``params`` to ``coded`` in place; the step
-    dispatcher on codes."""
+    dispatcher on codes.  A parameter that is missing, or whose value
+    ``int`` rejects, raises :class:`NotApplicable` naming it."""
     try:
         applier = _APPLIERS[rule]
     except KeyError:
         raise NotApplicable(f"unknown rule {rule!r}") from None
-    applier(coded, params or {})
+    try:
+        applier(coded, params or {})
+    except NotApplicable:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if (reason := _bad_params(params, exc)) is None:
+            raise
+        raise NotApplicable(f"{rule}: {reason}") from None
+
+
+def _bad_params(params, exc: Exception) -> str | None:
+    """Which parameter ``_APPLIERS`` could not read, and why; None if
+    the parameters are not to blame for ``exc``."""
+    if not isinstance(params or {}, dict):
+        return f"parameters must be an object, not {type(params).__name__}"
+    if isinstance(exc, KeyError):
+        return f"missing parameter {exc.args[0]!r}"
+    for key in ("pos", "split", "block_start", "dest", "k"):  # the ones read with int()
+        try:
+            int(params.get(key, 0))
+        except (TypeError, ValueError, OverflowError):
+            return f"parameter {key!r} is not an integer: {params[key]!r}"
+    return None
 
 
 def apply_step(word: Word, rule: str, params: dict | None = None) -> Word:
@@ -639,8 +662,7 @@ def replay(word: Word, trace: Trace) -> Word:
             )
         try:
             _apply(coded, step.rule, step.params)
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            # NotApplicable is a ValueError; the rest come from bad params
+        except NotApplicable as exc:
             raise ReplayMismatch(f"step {idx}: {step.rule} not applicable: {exc}") from exc
         result = coded.decode()
         if result != step.after:

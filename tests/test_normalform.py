@@ -3,13 +3,15 @@
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfword.rewrite
 from surfword import (
     NormalForm,
+    SignedLetter,
     Trace,
+    Word,
     canonical_word,
     classify,
     classify_by_invariants,
@@ -23,6 +25,9 @@ from surfword import (
     random_word,
     replay,
 )
+
+from surfword.normalform import _handle_site
+from surfword.rewrite import _interleave, _remove
 
 from conftest import words
 
@@ -150,6 +155,11 @@ class TestNormalize:
 # with the Word-based normalizer that the list-based search replaced.
 CRITERION_3_TRACES_SHA256 = "e46b59b262b7358c4f3fdb8d9442fb70eea3c5945304daec4eb89522288acacf"
 CRITERION_6_TRACES_SHA256 = "bc68faeb3924d017d34f63f76027a1fe3c27ccdead9a18015df56365146f6e53"
+# The same over the traces of LONG_WORDS below, most of whose steps are
+# in the handle stage, which the corpora and the 840-letter trace barely
+# reach.  Computed with the normalizer that read each handle site from a
+# table of partner positions.
+LONG_WORDS_TRACES_SHA256 = "7392b7cdd456541681d4a563da4264b802d66e8d411cc77c3d38b3ceb8d9a10c"
 
 
 def _traces_sha256(words) -> str:
@@ -170,6 +180,26 @@ class TestPinnedTraces:
         assert _traces_sha256(words) == CRITERION_6_TRACES_SHA256
 
 
+def nested_handles(m: int) -> Word:
+    """``p1 a1 b1 a1' b1' p2 ... pm am bm am' bm' x pm' ... p1'``: m
+    handles nested in m pairs around one hole, 6m + 1 letters."""
+    letters = []
+    for i in range(1, m + 1):
+        p, a, b = (SignedLetter(f"{name}{i}") for name in "pab")
+        letters += [p, a, b, a.inverse(), b.inverse()]
+    letters.append(SignedLetter("x"))
+    letters += [SignedLetter(f"p{i}", True) for i in range(m, 0, -1)]
+    return Word(tuple(letters))
+
+
+def with_inverted_singles(word: Word) -> Word:
+    """``word`` with every other single letter inverted."""
+    labels = [letter.label for letter in word]
+    singles = [k for k, label in enumerate(labels) if labels.count(label) == 1]
+    flip = set(singles[1::2])
+    return Word(tuple(l.inverse() if k in flip else l for k, l in enumerate(word)))
+
+
 LONG_WORDS = [
     pytest.param(family(n), id=f"{family.__name__}({n})")
     for n in (100, 250)
@@ -177,6 +207,10 @@ LONG_WORDS = [
 ] + [
     pytest.param(random_word(letters // 2 - 4, 8, letters), id=f"random({letters})")
     for letters in (300, 600)
+] + [
+    pytest.param(nested_handles(m), id=f"nested_handles({m})") for m in (50, 166)
+] + [
+    pytest.param(with_inverted_singles(random_word(280, 40, 7)), id="inverted_singles(600)")
 ]
 
 
@@ -210,12 +244,70 @@ class TestLongWords:
             write()
             assert len(decoded) <= 1
 
+    def test_long_word_traces_are_pinned(self):
+        assert _traces_sha256(p.values[0] for p in LONG_WORDS) == LONG_WORDS_TRACES_SHA256
+
     def test_long_trace_is_pinned(self):
         word = random_word(400, 40, 1)
         _, trace = normalize(word)
         assert (len(word), len(trace)) == (840, 829)
         digest = hashlib.sha256(trace.to_json().encode()).hexdigest()
         assert digest == "45fb69f817c381118f27f75f71efd430cc0e33078f2888698b9046c5a98d1480"
+
+
+def _reference_handle_site(cur):
+    """The reference for ``_handle_site``: ``(a1, a2, b1, b2)`` or None,
+    found from a table of the partner position of every letter."""
+    first = {cur[k] >> 1: k for k in range(len(cur) - 1, -1, -1)}
+    last = {code >> 1: k for k, code in enumerate(cur)}
+    partner = [j if (j := last[code >> 1]) != k else first[code >> 1] for k, code in enumerate(cur)]
+    stack = []
+    closed = [False] * len(partner)
+    a1 = None
+    for k, p in enumerate(partner):
+        if p > k:
+            stack.append(k)
+        elif p < k:
+            while closed[stack[-1]]:
+                stack.pop()
+            if stack[-1] == p:
+                stack.pop()
+            else:
+                closed[p] = True
+                if a1 is None or p < a1:
+                    a1 = p
+    if a1 is None:
+        return None
+    a2 = partner[a1]
+    before = min(partner[a1 + 1 : a2])
+    b1 = before if before < a1 else next(k for k in range(a1 + 1, a2) if partner[k] > a2)
+    return a1, a2, b1, partner[b1]
+
+
+@st.composite
+def discord_codes(draw):
+    """Letter codes of a word with no concord pair: discord pairs, either
+    occurrence first, and single letters of either flag; the codes and
+    the single labels."""
+    pairs, singles = draw(st.integers(0, 16)), draw(st.integers(0, 8))
+    codes = [2 * i + flip for i in range(pairs) for flip in (0, 1)]
+    codes += [2 * (pairs + i) + draw(st.booleans()) for i in range(singles)]
+    return draw(st.permutations(codes)), set(range(pairs, pairs + singles))
+
+
+@given(discord_codes())
+@settings(max_examples=300, deadline=None)
+def test_handle_site_matches_the_partner_table_search(word):
+    codes, singles = word
+    # every word the handle stage passes through on the way
+    while (site := _handle_site(codes, singles)) == _reference_handle_site(codes):
+        if site is None:
+            return
+        a1, a2, b1, b2 = site
+        b_in, b_out = (b1, b2) if a1 < b1 else (b2, b1)
+        _interleave(codes, a1, b_in, a2, b_out)
+        _remove(codes, 0, 1, 2, 3)
+    raise AssertionError((codes, site, _reference_handle_site(codes)))
 
 
 class TestEquivalent:

@@ -673,6 +673,58 @@ def test_rules_match_their_word_references(rule, word):
             assert block_at(word, pos) == _reference_block_at(word, pos)
 
 
+@pytest.mark.parametrize(
+    "rule, params, message",
+    [
+        ("cancel", {}, "cancel: missing parameter 'pos'"),
+        ("cancel", {"pos": None}, "cancel: parameter 'pos' is not an integer: None"),
+        ("slide_block", {"block_start": 0}, "slide_block: missing parameter 'dest'"),
+        ("interleave_to_handle", {"a": "a"}, "interleave_to_handle: missing parameter 'b'"),
+        ("rotate", {"k": "zz"}, "rotate: parameter 'k' is not an integer: 'zz'"),
+        (
+            "transpose_discord",
+            {"label": "a", "split": [1]},
+            "transpose_discord: parameter 'split' is not an integer: [1]",
+        ),
+        ("hive_handle", {"pos": 1e400}, "hive_handle: parameter 'pos' is not an integer: inf"),
+        ("cancel", [0], "cancel: parameters must be an object, not list"),
+        # the rule's own message is kept
+        ("cancel", {"pos": 7}, "no adjacent pair at position 7"),
+        ("hive_hole", {"label": None}, "None is not a discord pair"),
+    ],
+)
+def test_bad_params_are_not_applicable(rule, params, message):
+    with pytest.raises(NotApplicable, match=f"^{re.escape(message)}$"):
+        apply_step(parse("a b a' b'"), rule, params)
+
+
+@pytest.mark.parametrize("rule", sorted(_REFERENCE_RULES))
+@given(_rule_words(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bad_params_give_a_word_or_not_applicable(rule, word, data):
+    """With parameters dropped or replaced by None, a list or a string,
+    a rule returns a word or raises NotApplicable, nothing else."""
+    names = _REFERENCE_RULES[rule][2]
+    good = dict(zip(names, data.draw(st.sampled_from(list(_sites(word, names))))))
+    params = {}
+    for name in names:
+        change = data.draw(st.sampled_from(["keep", "drop", "none", "list", "text"]))
+        if change == "keep":
+            params[name] = good[name]
+        elif change != "drop":
+            params[name] = data.draw(
+                {
+                    "none": st.none(),
+                    "list": st.lists(st.integers(-2, 2), max_size=2),
+                    "text": st.text(max_size=3),
+                }[change]
+            )
+    try:
+        assert isinstance(apply_step(word, rule, params), Word)
+    except NotApplicable:
+        pass
+
+
 def _pairing_block_at(word, pos):
     """``block_at`` read from the pairing table: a concord pair at the
     cyclic positions ``pos`` and ``pos + 1``, or discord pairs at ``pos``,
