@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .normalform import NormalForm, _partners
-from .rewrite import _apply, _block_size, _Coded, _inverse
+from .rewrite import _block_size, _Coded, _fold, _interleave, _inverse, _remove, _slide, _transpose
 from .words import SignedLetter, Word, _least_rotation, label_sequence
 
 __all__ = [
@@ -275,64 +275,53 @@ class Orbit:
         return any(len(m) == len(word) and m.canonical_key() == key for m in self.words)
 
 
-def _neighbor(base: _Coded, spin: int, rule: str, **params) -> list[int]:
-    """Codes of ``rule`` with ``params`` applied to a copy of ``base`` rotated left by ``spin``."""
-    coded = _Coded(base.codes[spin:] + base.codes[:spin], base.names, base.letters)
-    _apply(coded, rule, params)
-    return coded.codes
+def _orbit_neighbors(forward: list[int]) -> Iterator[list[int]]:
+    """The codes of all words one rule application away from the word
+    with codes ``forward`` or from its inversion; none adds a label.
 
-
-def _orbit_neighbors(forward: _Coded) -> Iterator[list[int]]:
-    """The codes of all words one rule application away from the coded
-    word ``forward``, read from its codes and from those of its
-    inversion; none adds a label, so all decode with its labels.
-
-    Each rule is applied, to a copy, only at the sites where it
-    applies, so none raises :class:`NotApplicable`: ``cancel`` where
-    two adjacent letters carry one label with opposite flags,
-    ``transpose_discord`` at the splits from just after the upright
-    occurrence through the inverted one, ``slide_block`` at the
-    destinations outside the block, and ``interleave_to_handle`` for
-    interleaved pairs.  ``cancel``, ``transpose_discord`` and
-    ``slide_block`` read their sites cyclically, so one reading finds
-    every site.  ``fold_concord`` and ``interleave_to_handle`` start
-    from the first stored occurrence of a label, so those two also run
-    from the rotations that put each occurrence of that label first.
-    The same neighbor can come out more than once; :func:`bfs_orbit`
-    deduplicates by key.
+    The search finds each rule's sites itself, from the partner table
+    and the block sizes, and calls the rule's edit at each on a copy.
+    ``fold_concord`` and ``interleave_to_handle`` start from the first
+    stored occurrence of a label, so they run on the rotations that put
+    each occurrence first; the other rules read their sites cyclically.
+    In an ``orbit-closure`` round a quarter of the neighbors are the
+    word itself (the splits at either end of a run, the slide to just
+    after a block), and two thirds of the rest repeat codes met earlier
+    in the search; :func:`bfs_orbit` deduplicates by key.
     """
-    n = len(forward.codes)
-    for base in (forward, _Coded(_inverse(forward.codes), forward.names, forward.letters)):
-        codes, names = base.codes, base.names
-        # paired labels in order of first occurrence, with their positions
-        pairs = [(names[codes[i] >> 1], (i, j)) for i, j in enumerate(_partners(codes)) if i < j]
-        discords = [(label, p) for label, p in pairs if codes[p[0]] != codes[p[1]]]
+    n = len(forward)
+    for codes in (forward, _inverse(forward)):
+        pairs = [(i, j) for i, j in enumerate(_partners(codes)) if i < j]
+        discords = [(i, j) for i, j in pairs if codes[i] != codes[j]]
         for pos in range(n):
             if codes[pos] ^ codes[(pos + 1) % n] == 1:
-                yield _neighbor(base, 0, "cancel", pos=pos)
-        for label, (up, down) in discords:
-            if codes[up] & 1:
-                up, down = down, up
-            if up < down:
-                splits = range(up + 1, down + 1)
-            else:
-                splits = itertools.chain(range(down + 1), range(up + 1, n))
-            for split in splits:
-                yield _neighbor(base, 0, "transpose_discord", label=label, split=split)
+                _remove(out := codes[:], pos, (pos + 1) % n)
+                yield out
+        for i, j in discords:
+            up, down = (j, i) if codes[i] & 1 else (i, j)
+            for split in range(n):  # the splits the rule accepts, in increasing order
+                if (offset := (split - up - 1) % n) < (down - up) % n:
+                    _transpose(out := codes[:], up, down, offset)
+                    yield out
         for start in range(n):
             if size := _block_size(codes, start):
                 for dest in range(n):
                     if (dest - start) % n >= size:
-                        yield _neighbor(base, 0, "slide_block", block_start=start, dest=dest)
-        for label, positions in pairs:
-            if codes[positions[0]] == codes[positions[1]]:
-                for p in positions:
-                    yield _neighbor(base, p, "fold_concord", label=label)
-        for a, (i, j) in discords:
-            for p in (i, j):
-                for b, (k1, k2) in discords:
-                    if a != b and (i < k1 < j) != (i < k2 < j):
-                        yield _neighbor(base, p, "interleave_to_handle", a=a, b=b)
+                        _slide(out := codes[:], start, size, dest)
+                        yield out
+        for i, j in pairs:
+            if codes[i] == codes[j]:
+                for p, q in ((i, j), (j, i)):
+                    _fold(out := codes[p:] + codes[:p], 0, (q - p) % n)
+                    yield out
+        for i, j in discords:
+            for p, q in ((i, j), (j, i)):
+                for k1, k2 in discords:
+                    if k1 != i and (i < k1 < j) != (i < k2 < j):
+                        b_in, b_out = (k1, k2) if (k1 - p) % n < (q - p) % n else (k2, k1)
+                        out = codes[p:] + codes[:p]
+                        _interleave(out, 0, (b_in - p) % n, (q - p) % n, (b_out - p) % n)
+                        yield out
 
 
 def _key(codes: list[int]) -> tuple:
@@ -350,7 +339,8 @@ def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None 
     finite even unbounded.  ``Orbit.words`` holds one member per class,
     which may be any rotation or inversion of it; compare members with
     :meth:`Word.canonical_key` or ``in``.  The states are letter codes,
-    and each member but ``word`` itself is decoded once, at the end.
+    edited at the sites the search finds, without the rules' checks, and
+    each member but ``word`` itself is decoded once, at the end.
     """
     start = _Coded.encode(word)
     states = [start.codes]
@@ -358,7 +348,7 @@ def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None 
     truncated = False
     for codes in states:  # the list grows as the search admits states
         inverse = _inverse(codes)
-        for neighbor in _orbit_neighbors(_Coded(codes, start.names, start.letters)):
+        for neighbor in _orbit_neighbors(codes):
             # the state itself, whose key is already seen
             if neighbor in (codes, inverse):
                 continue

@@ -8,9 +8,9 @@ stored sequence and wrap cyclically where noted.
 Each rule is implemented once, on a coded word (:class:`_Coded`): the
 letter codes ``2 * id + inverted``.  It is a check, which turns the
 parameters into positions or raises :class:`NotApplicable`, and then
-one edit of the codes at those positions.  ``normalize`` finds its
-sites itself and calls the edits directly; :func:`apply_step`, replay
-and the orbit search dispatch to the checked rules.  The functions on
+one edit of the codes at those positions.  ``normalize`` and the orbit
+search find their sites and call the edits directly; :func:`apply_step`,
+replay and traces dispatch to the checked rules.  The functions on
 :class:`Word` are wrappers that encode, apply the rule and decode.
 
 Applied rules can be recorded as :class:`RewriteStep` values and chained
@@ -149,19 +149,24 @@ def cancel(word: Word, pos: int) -> Word:
     return _on_word(_cancel, word, pos)
 
 
+def _transpose(codes: list[int], up: int, down: int, offset: int) -> None:
+    """The edit of ``transpose_discord``: rotate the cyclic run strictly
+    between ``up`` and ``down`` left by ``offset``."""
+    _rotate(codes, up + 1)  # the run now starts at 0
+    run = (down - up - 1) % len(codes)
+    codes[:run] = codes[offset:run] + codes[:offset]
+    _rotate(codes, -up - 1)
+
+
 def _transpose_discord(coded: _Coded, label: str, split: int) -> None:
     i, j = _pair(coded, label, DISCORD)
     codes = coded.codes
     if codes[i] & 1:
         i, j = j, i
-    n = len(codes)
-    between = [(i + 1 + k) % n for k in range((j - i - 1) % n)]
-    offset = (split - (i + 1)) % n
-    if offset > len(between):
+    offset = (split - i - 1) % len(codes)
+    if offset > (j - i - 1) % len(codes):
         raise NotApplicable(f"split {split} is not between the occurrences of {label!r}")
-    run = [codes[k] for k in between]
-    for k, code in zip(between, run[offset:] + run[:offset]):
-        codes[k] = code
+    _transpose(codes, i, j, offset)
 
 
 def transpose_discord(word: Word, label: str, split: int) -> Word:
@@ -230,6 +235,15 @@ def block_at(word: Word, pos: int) -> tuple[int, tuple[SignedLetter, ...]] | Non
     return (size, window.letters[:size]) if size else None
 
 
+def _slide(codes: list[int], block_start: int, size: int, dest: int) -> None:
+    """The edit of ``slide_block``: move ``size`` letters at ``block_start`` to before ``dest``."""
+    occupied = [(block_start + k) % len(codes) for k in range(size)]
+    block = [codes[k] for k in occupied]
+    at = dest - sum(k < dest for k in occupied)
+    _remove(codes, *occupied)
+    codes[at:at] = block
+
+
 def _slide_block(coded: _Coded, block_start: int, dest: int) -> None:
     codes = coded.codes
     n = len(codes)
@@ -240,11 +254,7 @@ def _slide_block(coded: _Coded, block_start: int, dest: int) -> None:
         raise NotApplicable(f"no crosscap or handle block at position {block_start}")
     if not 0 <= dest < n or (dest - block_start) % n < size:
         raise NotApplicable(f"destination {dest} is not outside the block")
-    occupied = [(block_start + k) % n for k in range(size)]
-    block = [codes[k] for k in occupied]
-    at = dest - sum(k < dest for k in occupied)
-    _remove(codes, *occupied)
-    codes[at:at] = block
+    _slide(codes, block_start, size, dest)
 
 
 def slide_block(word: Word, block_start: int, dest: int) -> Word:

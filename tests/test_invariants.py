@@ -35,9 +35,9 @@ from surfword import (
     slide_block,
     transpose_discord,
 )
-import surfword.invariants
 from surfword.invariants import _orbit_neighbors
-from surfword.rewrite import _Coded
+from surfword.normalform import _partners
+from surfword.rewrite import _apply, _block_size, _Coded, _inverse
 
 from conftest import every_word_over_three_labels, relabeled, words
 
@@ -279,7 +279,8 @@ def _every_rotation_neighbors(word):
 def _assert_same_neighbors(word):
     expected = {w.canonical_key() for w in _every_rotation_neighbors(word)}
     coded = _Coded.encode(word)
-    decoded = (_Coded(c, coded.names, coded.letters).decode() for c in _orbit_neighbors(coded))
+    neighbors = _orbit_neighbors(coded.codes)
+    decoded = (_Coded(c, coded.names, coded.letters).decode() for c in neighbors)
     assert {w.canonical_key() for w in decoded} == expected
 
 
@@ -352,6 +353,30 @@ def test_capped_orbit_members_are_pinned(text, cap, truncated, digest):
     assert (orbit.truncated, _digest(orbit)) == (truncated, digest)
 
 
+# the 14 criterion-5 classes whose orbits the orbit-closure benchmark searches
+CLOSURE_CLASSES = [
+    "a a b b c c", "a a c c' b b", "a a' b' c' b' c'", "a b b c a c", "a b c c' b' a'",
+    "a b' b c' a c", "a b' c' b c' a'", "a c c a' b' b", "a a' b b c", "a b c a c",
+    "a b' c a' c'", "a c c b b'", "a b a' c", "a c' c' b",
+]
+# one sha256 over the (start, cap, truncated, digest as above) lines of
+# searches capped at 7 and 40 states of those classes and of 40 random
+# words of 3 to 5 pairs, computed before the orbit search called the edits
+# at its own sites; 93 of the 108 searches are truncated
+CAPPED_SEARCHES_SHA256 = "cefab4905303fc98a269e11ecfc9bbfb7cf765cc877e6145ffd472bda133e937"
+
+
+def test_capped_searches_are_pinned():
+    starts = [parse(text) for text in CLOSURE_CLASSES]
+    starts += [random_word(3 + seed % 3, seed % 2, seed) for seed in range(40)]
+    lines = []
+    for word in starts:
+        for cap in (7, 40):
+            orbit = bfs_orbit(word, max_states=cap)
+            lines.append(f"{word.render()} {cap} {orbit.truncated} {_digest(orbit)}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CAPPED_SEARCHES_SHA256
+
+
 def _reference_orbit_keys(word, max_length):
     """Keys of the closure of ``word``, searched breadth first over
     :func:`_every_rotation_neighbors` and keyed by ``canonical_key``."""
@@ -408,6 +433,49 @@ def test_membership_agrees_with_cyclic_equality(text, class_words):
 _SITE_RULES = ("cancel", "transpose_discord", "fold_concord", "slide_block", "interleave_to_handle")
 
 
+def _reference_orbit_neighbors(forward, apply=_apply):
+    """The orbit search's neighbors as it listed them when it sent each
+    one through the checked rule, ``apply``: the same sites, in the same
+    order, each named by the rule's parameters."""
+
+    def neighbor(base, spin, rule, **params):
+        coded = _Coded(base.codes[spin:] + base.codes[:spin], base.names, base.letters)
+        apply(coded, rule, params)
+        return coded.codes
+
+    n = len(forward.codes)
+    for base in (forward, _Coded(_inverse(forward.codes), forward.names, forward.letters)):
+        codes, names = base.codes, base.names
+        pairs = [(names[codes[i] >> 1], (i, j)) for i, j in enumerate(_partners(codes)) if i < j]
+        discords = [(label, p) for label, p in pairs if codes[p[0]] != codes[p[1]]]
+        for pos in range(n):
+            if codes[pos] ^ codes[(pos + 1) % n] == 1:
+                yield neighbor(base, 0, "cancel", pos=pos)
+        for label, (up, down) in discords:
+            if codes[up] & 1:
+                up, down = down, up
+            if up < down:
+                splits = range(up + 1, down + 1)
+            else:
+                splits = [*range(down + 1), *range(up + 1, n)]
+            for split in splits:
+                yield neighbor(base, 0, "transpose_discord", label=label, split=split)
+        for start in range(n):
+            if size := _block_size(codes, start):
+                for dest in range(n):
+                    if (dest - start) % n >= size:
+                        yield neighbor(base, 0, "slide_block", block_start=start, dest=dest)
+        for label, positions in pairs:
+            if codes[positions[0]] == codes[positions[1]]:
+                for p in positions:
+                    yield neighbor(base, p, "fold_concord", label=label)
+        for a, (i, j) in discords:
+            for p in (i, j):
+                for b, (k1, k2) in discords:
+                    if a != b and (i < k1 < j) != (i < k2 < j):
+                        yield neighbor(base, p, "interleave_to_handle", a=a, b=b)
+
+
 @given(words(max_pairs=4, max_singles=2))
 @example(parse("a b a' b' x y z w"))
 @example(parse("a a b b x y z w"))
@@ -415,18 +483,26 @@ _SITE_RULES = ("cancel", "transpose_discord", "fold_concord", "slide_block", "in
 @settings(max_examples=100, deadline=None)
 def test_orbit_neighbors_call_rules_only_where_they_apply(word):
     calls = []
-    apply = surfword.invariants._apply
 
     def strict(coded, rule, params):
         calls.append(rule)
         try:
-            apply(coded, rule, params)
+            _apply(coded, rule, params)
         except NotApplicable as exc:
             raise AssertionError(f"{rule}({params}) on {word}: {exc}") from exc
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(surfword.invariants, "_apply", strict)
-        neighbors = list(_orbit_neighbors(_Coded.encode(word)))
+    neighbors = list(_reference_orbit_neighbors(_Coded.encode(word), strict))
     # every neighbor came through one of the five site rules
     assert set(calls) <= set(_SITE_RULES)
     assert len(calls) == len(neighbors)
+
+
+@given(words(max_pairs=4, max_singles=2))
+@example(parse("a b a' b' x y z w"))
+@example(parse("a a b b x y z w"))
+@example(parse("a x b y a' z b' w"))
+@settings(max_examples=200, deadline=None)
+def test_orbit_neighbors_are_the_checked_rules_in_order(word):
+    # a capped search admits the first new classes it meets, so the order counts
+    coded = _Coded.encode(word)
+    assert list(_orbit_neighbors(coded.codes)) == list(_reference_orbit_neighbors(coded))
