@@ -2,23 +2,34 @@
 
 Subcommands: classify, equiv, trace, invariants, gen, batch.  Words are
 passed as single quoted arguments in the word grammar (apostrophes mark
-inverses, so shell quoting is required).  Exit codes: 0 success, 1
-invalid word, 2 usage error, 3 reported by ``equiv`` for inequivalent
-words.
+inverses, so shell quoting is required), and read as letter codes; only
+the trace and the invariants decode them to a ``Word``, and ``batch``
+builds no word and no trace.  Exit codes: 0 success, 1 invalid word or
+closed output pipe, 2 usage error, 3 reported by ``equiv`` for
+inequivalent words.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable
 
 from .invariants import invariants_summary, random_word
-from .normalform import NormalForm, normalize
-from .words import MultiplicityError, Word, WordSyntaxError
+from .normalform import NormalForm, _stages, normalize
+from .rewrite import _Coded
+from .words import MultiplicityError, WordSyntaxError, _tokenize
 
 _WORD_ERRORS = (WordSyntaxError, MultiplicityError)
+
+
+def _read_word(text: str) -> tuple[str, _Coded]:
+    """The word in ``text`` as :meth:`Word.render` writes it, and coded;
+    raises the errors of :meth:`Word.parse`."""
+    tokens = _tokenize(text)
+    return " ".join(tokens), _Coded.parse(tokens)
 
 
 def _form_line(form: NormalForm) -> str:
@@ -26,12 +37,8 @@ def _form_line(form: NormalForm) -> str:
 
 
 def _invariants_line(summary: dict) -> str:
-    parts = []
-    for key, value in summary.items():
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        parts.append(f"{key}={value}")
-    return " ".join(parts)
+    # JSON spelling for the booleans
+    return " ".join(f"{key}={json.dumps(value)}" for key, value in summary.items())
 
 
 def _emit_json(document: dict) -> None:
@@ -40,10 +47,10 @@ def _emit_json(document: dict) -> None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     # also serves ``trace``, which is ``classify --trace`` without the form line
-    word = Word.parse(args.word)
-    form, trace = normalize(word)
+    text, coded = _read_word(args.word)
+    form, trace = normalize(coded.decode()) if args.trace else (_stages(coded)[0], None)
     if args.json:
-        document = {"word": word.render(), "normal_form": form.to_dict()}
+        document = {"word": text, "normal_form": form.to_dict()}
         if args.trace:
             document["trace"] = trace.to_list()
         _emit_json(document)
@@ -56,10 +63,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    first = Word.parse(args.first)
-    second = Word.parse(args.second)
-    form_a, _ = normalize(first)
-    form_b, _ = normalize(second)
+    first, second = _read_word(args.first)[1], _read_word(args.second)[1]
+    form_a, form_b = _stages(first)[0], _stages(second)[0]
     same = form_a == form_b
     if args.json:
         _emit_json(
@@ -74,10 +79,10 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    word = Word.parse(args.word)
-    summary = invariants_summary(word)
+    text, coded = _read_word(args.word)
+    summary = invariants_summary(coded.decode())
     if args.json:
-        _emit_json({"word": word.render(), "invariants": summary})
+        _emit_json({"word": text, "invariants": summary})
     else:
         print(_invariants_line(summary))
     return 0
@@ -113,7 +118,7 @@ def _batch(lines: Iterable[str], as_json: bool) -> int:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            word = Word.parse(stripped)
+            text, coded = _read_word(stripped)
         except _WORD_ERRORS as exc:
             any_failed = True
             if as_json:
@@ -121,11 +126,11 @@ def _batch(lines: Iterable[str], as_json: bool) -> int:
             else:
                 print(f"{stripped}: error: {exc}")
             continue
-        form, _ = normalize(word)
+        form, _ = _stages(coded)
         if as_json:
-            print(json.dumps({"word": word.render(), "normal_form": form.to_dict()}))
+            print(json.dumps({"word": text, "normal_form": form.to_dict()}))
         else:
-            print(f"{word.render()}: {_form_line(form)}")
+            print(f"{text}: {_form_line(form)}")
     return 1 if any_failed else 0
 
 
@@ -183,9 +188,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # meet a closed pipe here, not at exit
+        return code
     except _WORD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader has gone: the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

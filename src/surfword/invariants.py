@@ -140,12 +140,9 @@ def boundary_count(word: Word) -> int:
     if n == 0:
         return 0
 
-    def at_tail(i: int) -> int:
+    def end(i: int, head: bool) -> int:
         # end index: 2i sits at corner i, 2i+1 at corner i+1
-        return 2 * i + 1 if word[i].inverted else 2 * i
-
-    def at_head(i: int) -> int:
-        return 2 * i if word[i].inverted else 2 * i + 1
+        return 2 * i + (head != word[i].inverted)
 
     uf = _UnionFind(2 * n)
     for i in range(n):
@@ -156,8 +153,8 @@ def boundary_count(word: Word) -> int:
         positions = table.positions(label)
         if len(positions) == 2:
             p, q = positions
-            uf.union(at_tail(p), at_tail(q))
-            uf.union(at_head(p), at_head(q))
+            uf.union(end(p, False), end(q, False))
+            uf.union(end(p, True), end(q, True))
         else:
             (i,) = positions
             uf.union(2 * i, 2 * i + 1)
@@ -204,21 +201,19 @@ def invariants_summary(word: Word) -> dict:
 
 
 def _labels(n: int) -> list[SignedLetter]:
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return [SignedLetter(f"a{i}") for i in range(1, n + 1)]
 
 
 def family_iii(n: int) -> Word:
     """``a1 ... an an ... a1``: nonorientable of genus n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     run = _labels(n)
     return Word(tuple(run) + tuple(reversed(run)))
 
 
 def family_iv(n: int) -> Word:
     """``a1 ... a(n-1) an a1' ... a(n-1)' an``: nonorientable of genus n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     run = _labels(n)
     head, last = run[:-1], run[-1]
     return Word(tuple(head) + (last,) + tuple(l.inverse() for l in head) + (last,))
@@ -226,8 +221,6 @@ def family_iv(n: int) -> Word:
 
 def family_v(n: int) -> Word:
     """``a1 ... an a1' ... an'``: orientable of genus n // 2 (sphere for n=1)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     run = _labels(n)
     return Word(tuple(run) + tuple(l.inverse() for l in run))
 

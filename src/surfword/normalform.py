@@ -22,7 +22,8 @@ step finds a rule's site in one O(n) pass, applies that rule's own edit
 from :mod:`surfword.rewrite` there (O(n) too), and records the rule.
 The returned :class:`Trace` keeps those moves with the initial and final
 words and builds the words between on demand, so :func:`classify` and
-:func:`equivalent` never build them.
+:func:`equivalent` never build them.  ``surfword batch`` runs the stages
+on the codes it reads from each line and builds no word and no trace.
 """
 
 from __future__ import annotations
@@ -89,10 +90,7 @@ class NormalForm:
         }
 
     def describe(self) -> str:
-        if self.kind == "sphere":
-            base = "sphere"
-        else:
-            base = f"{self.kind} surface of genus {self.genus}"
+        base = "sphere" if self.kind == "sphere" else f"{self.kind} surface of genus {self.genus}"
         if self.boundary == 1:
             return f"{base} with 1 boundary component"
         if self.boundary:
@@ -198,6 +196,15 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
     Returns the :class:`NormalForm` and the :class:`Trace` of every
     rewrite applied, chained from ``word`` down to the residual word
     (empty, or one single letter standing for the last hole).
+    """
+    coded = _Coded.encode(word)
+    form, moves = _stages(coded)
+    return form, Trace.from_moves(word, moves, coded.decode())
+
+
+def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
+    """The three stages of :func:`normalize` on ``coded``, which they
+    edit down to the residual word: the normal form and the moves.
 
     Each step finds its site in one pass over the letter codes ``2 * id
     + inverted``: the crosscap stage looks for the first code that occurs
@@ -208,7 +215,6 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
     and records ``(rule, params)``.  A ``fold_concord`` or
     ``interleave_to_handle`` that would return its input is not recorded.
     """
-    coded = _Coded.encode(word)
     codes, names = coded.codes, coded.names
     moves: list[tuple[str, dict]] = []
 
@@ -263,7 +269,7 @@ def normalize(word: Word) -> tuple[NormalForm, Trace]:
         form = NormalForm("orientable", handles, holes)
     else:
         form = NormalForm("sphere", 0, holes)
-    return form, Trace.from_moves(word, moves, coded.decode())
+    return form, moves
 
 
 def classify(word: Word) -> NormalForm:
@@ -292,8 +298,7 @@ def canonical_word(form: NormalForm) -> Word:
             letters += [cap, cap]
     elif form.kind == "orientable":
         for i in range(1, form.genus + 1):
-            x = SignedLetter(f"a{i}")
-            y = SignedLetter(f"b{i}")
+            x, y = SignedLetter(f"a{i}"), SignedLetter(f"b{i}")
             letters += [x, y, x.inverse(), y.inverse()]
     for i in range(1, form.boundary):
         frame = SignedLetter(f"h{i}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .words import CONCORD, DISCORD, SignedLetter, Word, label_sequence
-from .words import _checked_letter, _checked_word, _parse_shared
+from .words import _check_multiplicity, _checked_letter, _checked_word, _parse_shared
 
 __all__ = [
     "NotApplicable",
@@ -79,6 +79,16 @@ class _Coded:
         ids: dict[str, int] = {}
         codes = [2 * ids.setdefault(l.label, len(ids)) + l.inverted for l in word.letters]
         return cls(codes, list(ids), dict(zip(codes, word.letters)))
+
+    @classmethod
+    def parse(cls, tokens: list[str]) -> "_Coded":
+        """The word of the tokens ``_tokenize`` read, coded without making
+        a letter; raises :meth:`Word.parse`'s ``MultiplicityError``."""
+        labels = [token.rstrip("'") for token in tokens]
+        _check_multiplicity(labels)
+        ids: dict[str, int] = {}
+        codes = [2 * ids.setdefault(l, len(ids)) + (t[-1] == "'") for l, t in zip(labels, tokens)]
+        return cls(codes, list(ids), {})
 
     def decode(self) -> Word:
         """The word the codes stand for; a letter is made only for a code

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from string import ascii_lowercase
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "CONCORD",
@@ -58,8 +58,8 @@ DISCORD = "discord"
 
 _NAME_RE = re.compile(r"[a-z][0-9]*")
 _TOKEN_RE = re.compile(r"[a-z][0-9]*'?")
+_TOKENS_RE = re.compile(r"[a-z][0-9]*'?(?:\s+[a-z][0-9]*'?)*")
 _COMPACT_RE = re.compile(r"(?:[a-z]'?)+")
-_COMPACT_SPLIT_RE = re.compile(r"[a-z]'?")
 
 
 class WordSyntaxError(ValueError):
@@ -192,21 +192,25 @@ class PairingTable:
         return (i < k1 < j) != (i < k2 < j)
 
 
+def _check_multiplicity(labels: Iterable[str]) -> None:
+    """Raise :class:`MultiplicityError`, naming them in sorted order, if
+    some of ``labels`` occur more than twice."""
+    counts = Counter(labels)
+    if counts and max(counts.values()) > 2:
+        bad = sorted(label for label, c in counts.items() if c > 2)
+        raise MultiplicityError(f"labels occur more than twice: {', '.join(bad)}")
+
+
 def _tokenize(text: str) -> list[str]:
     stripped = text.strip()
-    if not stripped:
-        return []
-    tokens = stripped.split()
-    if len(tokens) > 1:
-        for tok in tokens:
-            if not _TOKEN_RE.fullmatch(tok):
-                raise WordSyntaxError(f"bad token {tok!r}")
-        return tokens
-    if _TOKEN_RE.fullmatch(stripped):
-        return [stripped]
+    if _TOKENS_RE.fullmatch(stripped):
+        return stripped.split()
     if _COMPACT_RE.fullmatch(stripped):
-        return _COMPACT_SPLIT_RE.findall(stripped)
-    raise WordSyntaxError(f"bad token {stripped!r}")
+        return _TOKEN_RE.findall(stripped)
+    for token in stripped.split():  # report the first bad token
+        if not _TOKEN_RE.fullmatch(token):
+            raise WordSyntaxError(f"bad token {token!r}")
+    return []  # no bad token: the text is blank, as ``\s`` is what ``split`` splits at
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,12 +232,7 @@ class Word:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
-        counts: dict[str, int] = {}
-        for letter in self.letters:
-            counts[letter.label] = counts.get(letter.label, 0) + 1
-        bad = sorted(label for label, c in counts.items() if c > 2)
-        if bad:
-            raise MultiplicityError(f"labels occur more than twice: {', '.join(bad)}")
+        _check_multiplicity(map(attrgetter("label"), self.letters))
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -263,10 +262,7 @@ class Word:
         return self.letters[index]
 
     def labels(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for letter in self.letters:
-            seen.setdefault(letter.label)
-        return tuple(seen)
+        return tuple(dict.fromkeys(letter.label for letter in self.letters))
 
     def rotate(self, k: int) -> "Word":
         """Cyclic left rotation by ``k`` positions.
@@ -274,10 +270,9 @@ class Word:
         >>> str(Word.parse("a b a' b'").rotate(1))
         "b a' b' a"
         """
-        n = len(self.letters)
-        if n == 0:
+        if not self.letters:
             return self
-        k %= n
+        k %= len(self.letters)
         return _checked_word(self.letters[k:] + self.letters[:k])
 
     def invert(self) -> "Word":
@@ -385,11 +380,8 @@ def _least_rotation(seq: list) -> tuple:
 def _parse_shared(text: str, letters: dict[str, SignedLetter]) -> Word:
     """``Word.parse(text)``, taking the letter of each token from
     ``letters`` and adding the tokens it has not seen yet, so that words
-    parsed with one table share one letter per distinct token.
-
-    Text that is not two or more whitespace-separated tokens, or that
-    does not parse, goes to :meth:`Word.parse`, which raises its own
-    error for it.
+    parsed with one table share one letter per distinct token.  Text that
+    is not two or more tokens, or has a bad one, goes to ``Word.parse``.
     """
     tokens = text.split()
     if len(tokens) > 1:
@@ -401,8 +393,8 @@ def _parse_shared(text: str, letters: dict[str, SignedLetter]) -> Word:
                     return Word.parse(text)
                 letters[token] = _checked_letter(token.rstrip("'"), token.endswith("'"))
             shared = tuple(map(letters.__getitem__, tokens))
-        if max(Counter(map(attrgetter("label"), shared)).values()) <= 2:
-            return _checked_word(shared)
+        _check_multiplicity(map(attrgetter("label"), shared))
+        return _checked_word(shared)
     return Word.parse(text)
 
 

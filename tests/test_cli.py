@@ -1,13 +1,28 @@
 """Command line behavior: output formats and exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from surfword import Trace, parse, replay
-from surfword.cli import main
+from surfword import (
+    MultiplicityError,
+    Trace,
+    Word,
+    WordSyntaxError,
+    normalize,
+    parse,
+    random_word,
+    replay,
+)
+from surfword.cli import _batch, _form_line, main
+
+from conftest import words
 
 
 def run(capsys, *argv):
@@ -233,3 +248,91 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "kind=orientable genus=1 boundary=0 chi=0\n"
+
+
+def _reference_batch(lines, as_json):
+    """The batch loop as it was before it read letter codes: parse each
+    line to a Word, normalize it with its trace and render it."""
+    any_failed = False
+    for line in lines:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            word = Word.parse(stripped)
+        except (WordSyntaxError, MultiplicityError) as exc:
+            any_failed = True
+            if as_json:
+                print(json.dumps({"word": stripped, "error": str(exc)}))
+            else:
+                print(f"{stripped}: error: {exc}")
+            continue
+        form, _ = normalize(word)
+        if as_json:
+            print(json.dumps({"word": word.render(), "normal_form": form.to_dict()}))
+        else:
+            print(f"{word.render()}: {_form_line(form)}")
+    return 1 if any_failed else 0
+
+
+def _captured(batch, lines, as_json):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = batch(lines, as_json)
+    return code, out.getvalue()
+
+
+# str.isspace is true for each; str.split splits at each
+SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u2028",
+              "\u3000"]
+BAD_TOKENS = ["A", "a''", "'", "1a", "a-", "aA", "ab1", "\udcff", "a\udcff"]
+
+
+@st.composite
+def batch_lines(draw):
+    """A batch line: a valid word, spaced or compact, perhaps with a bad
+    token or a label used three times, odd whitespace, a comment or blank."""
+    tokens = [letter.token() for letter in draw(words())]
+    kind = draw(st.sampled_from(["valid", "bad token", "thrice", "comment"]))
+    if kind == "bad token":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(BAD_TOKENS)))
+    elif kind == "thrice" and tokens:
+        token = draw(st.sampled_from(tokens))
+        tokens += [token, token]
+    if draw(st.booleans()):
+        text = "".join(tokens)  # compact; every label of words() is one character
+    else:
+        separator = st.text(st.sampled_from(SEPARATORS), min_size=1, max_size=3)
+        text = "".join(token + draw(separator) for token in tokens)
+    edge = st.text(st.sampled_from(SEPARATORS), max_size=2)
+    text = draw(edge) + text + draw(edge)
+    return "#" + text if kind == "comment" else text
+
+
+class TestBatchReference:
+    @given(st.lists(batch_lines(), max_size=12), st.booleans())
+    def test_same_output_and_exit_code_as_the_word_loop(self, lines, as_json):
+        lines = [line + "\n" for line in lines]
+        assert _captured(_batch, lines, as_json) == _captured(_reference_batch, lines, as_json)
+
+    def test_module_batch_matches_the_reference_and_meets_a_closed_pipe_quietly(self, tmp_path):
+        # long words, so that the output is more than the pipe and the
+        # writer's buffer hold, and the writer meets the closed pipe
+        lines = [random_word(120, k % 4, k).render() for k in range(200)]
+        lines[::17] = ["a b A c'"] * len(lines[::17])
+        lines[5::23] = ["b a b a b"] * len(lines[5::23])
+        path = tmp_path / "words.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        argv = [sys.executable, "-m", "surfword", "batch", "--json", str(path)]
+        result = subprocess.run(argv, capture_output=True)
+        code, out = _captured(_reference_batch, lines, True)
+        assert len(out) > 2 * 65536
+        assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(), b"")
+
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert json.loads(proc.stdout.readline())["word"] == lines[0]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

@@ -35,6 +35,9 @@ from surfword import (
     transpose_discord,
 )
 
+from surfword.rewrite import _Coded
+from surfword.words import _tokenize
+
 from conftest import REWRITE_RULES, applicable_instance, relabeled, words
 
 
@@ -231,6 +234,33 @@ class TestApplyStep:
     def test_unknown_rule(self):
         with pytest.raises(NotApplicable):
             apply_step(parse("a a'"), "shrink", {})
+
+
+def _parse_outcome(parse_word, text):
+    try:
+        return parse_word(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestCodedParse:
+    @given(words(), st.booleans())
+    def test_codes_are_those_of_the_parsed_word(self, word, compact):
+        text = ("" if compact else " ").join(letter.token() for letter in word)
+        coded, expected = _Coded.parse(_tokenize(text)), _Coded.encode(word)
+        assert (coded.codes, coded.names) == (expected.codes, expected.names)
+        assert coded.decode() == word
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "a", "aba'b'", " a1\tb'  a1 ", "a A", "a''", "a a a", "b b b a a' a", "aaa"]
+        + ["a1 a1'a1", "a1 a1' a1"],
+    )
+    def test_errors_are_those_of_word_parse(self, text):
+        def coded(text):
+            return _Coded.parse(_tokenize(text)).decode()
+
+        assert _parse_outcome(coded, text) == _parse_outcome(parse, text)
 
 
 class TestTraceAndReplay:

@@ -18,6 +18,8 @@ from surfword import (
     random_word,
 )
 
+from surfword.words import _TOKENS_RE, _tokenize
+
 from conftest import every_word_over_three_labels, relabeled, words
 
 
@@ -63,6 +65,31 @@ class TestParse:
         letter = SignedLetter("a")
         with pytest.raises(MultiplicityError):
             Word((letter, letter.inverse(), letter))
+
+    @pytest.mark.parametrize(
+        "space", [ch for ch in map(chr, range(0x110000)) if ch.isspace()], ids=ord
+    )
+    def test_every_whitespace_character_separates_tokens(self, space):
+        assert _tokenize("a" + space + "b'") == ["a", "b'"]
+        assert _tokenize(space + "a" + space * 2 + "b'" + space) == ["a", "b'"]
+
+    def test_the_spaced_word_pattern_separates_exactly_where_split_does(self):
+        # _tokenize trusts _TOKENS_RE to fail on every text with a bad token
+        separators = [ch for ch in map(chr, range(0x110000)) if _TOKENS_RE.fullmatch(f"a{ch}b")]
+        assert separators == [ch for ch in map(chr, range(0x110000)) if ch.isspace()]
+
+    @pytest.mark.parametrize("text", ["a b A c'", "a A b B", "A a b"])
+    def test_the_first_bad_token_is_reported(self, text):
+        with pytest.raises(WordSyntaxError, match=r"^bad token 'A'$"):
+            parse(text)
+
+    def test_every_label_used_more_than_twice_is_named_in_order(self):
+        message = r"^labels occur more than twice: a, b$"
+        with pytest.raises(MultiplicityError, match=message):
+            parse("b b b a a' a c")
+        b, a = SignedLetter("b"), SignedLetter("a")
+        with pytest.raises(MultiplicityError, match=message):
+            Word((b, b, b, a, a, a))
 
     def test_render_is_spaced(self):
         assert parse("aba'b'").render() == "a b a' b'"
