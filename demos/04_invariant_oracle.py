@@ -1,10 +1,11 @@
 """Classifying without rewriting: the invariant oracle.
 
 The corner complex counts vertices after gluing (union-find over
-polygon corners), edges, and the single face; boundary components are
-traced on a separate graph of edge ends.  Together with orientability
-(no concord pair) these determine the surface, giving an independent
-cross-check on the normalizer.
+polygon corners), edges, and the single face; joining the two corners
+of each free edge in the same union-find then leaves one class per
+boundary component.  Together with orientability (no concord pair)
+these determine the surface, giving an independent cross-check on the
+normalizer.
 """
 
 from surfword import (

@@ -1,11 +1,12 @@
 """Verification machinery independent of the normalizer.
 
-Everything here classifies a word without rewriting it.  The Euler
-characteristic comes from identifying polygon corners into vertex
-classes with a union-find; boundary components come from tracing a
-separate graph on edge ends.  The two structures share no code with the
-rewrite engine, so agreement between :func:`classify_by_invariants` and
-the normalizer is a meaningful cross-check rather than a tautology.
+Everything here classifies a word without rewriting it.  One
+union-find over the polygon's corners, glued along the pairs, gives the
+vertices and so the Euler characteristic; joining the two corners of
+each free edge then gives the boundary components.  It shares no code
+with the rewrite engine, so agreement between
+:func:`classify_by_invariants` and the normalizer is a meaningful
+cross-check rather than a tautology.
 
 Also provides the standard word families, a seeded random word
 generator, and a breadth-first orbit explorer over the rewrite rules.
@@ -91,6 +92,34 @@ def _tail_head(word: Word, i: int) -> tuple[int, int]:
     return i, (i + 1) % n
 
 
+def _readings(word: Word) -> tuple[int, int, int, bool]:
+    """Vertices, edges, boundary components and orientability of the
+    glued polygon, from one pairing table and one union-find over its
+    corners.  Once the pairs have glued the corners into vertices, the
+    two corners of each free edge are joined: a boundary vertex lies on
+    one boundary circle, and the free edges run along those circles."""
+    n = len(word)
+    if n == 0:
+        return 1, 0, 0, True
+    table = word.pairing()
+    uf = _UnionFind(n)
+    free = []
+    for entry in table.entries():
+        if len(entry.positions) == 2:
+            p, q = entry.positions
+            p_tail, p_head = _tail_head(word, p)
+            q_tail, q_head = _tail_head(word, q)
+            uf.union(p_tail, q_tail)
+            uf.union(p_head, q_head)
+        else:
+            free.extend(entry.positions)
+    vertices = uf.class_count()
+    for i in free:
+        uf.union(i, (i + 1) % n)
+    boundary = len({uf.find(i) for i in free})
+    return vertices, len(table), boundary, not table.has_concord()
+
+
 def corner_complex(word: Word) -> CornerComplex:
     """Count cells of the surface obtained by gluing the polygon.
 
@@ -99,20 +128,8 @@ def corner_complex(word: Word) -> CornerComplex:
     glue nothing.  Faces is always 1 (the polygon itself); the empty
     word stands for the sphere, one vertex and no edges.
     """
-    n = len(word)
-    if n == 0:
-        return CornerComplex(1, 0, 1)
-    table = word.pairing()
-    uf = _UnionFind(n)
-    for label in table:
-        positions = table.positions(label)
-        if len(positions) == 2:
-            p, q = positions
-            p_tail, p_head = _tail_head(word, p)
-            q_tail, q_head = _tail_head(word, q)
-            uf.union(p_tail, q_tail)
-            uf.union(p_head, q_head)
-    return CornerComplex(uf.class_count(), len(table), 1)
+    vertices, edges, _, _ = _readings(word)
+    return CornerComplex(vertices, edges, 1)
 
 
 def euler_characteristic(word: Word) -> int:
@@ -127,39 +144,10 @@ def orientable(word: Word) -> bool:
 
 
 def boundary_count(word: Word) -> int:
-    """Count boundary components by tracing edge ends.
-
-    Each occurrence has two ends, one at each adjoining corner.  Linking
-    consecutive ends around every corner, tail end to tail end and head
-    end to head end across every gluing, and the two ends of each free
-    edge gives a graph of disjoint cycles.  The cycles through a free
-    edge are the boundary components; the rest are interior vertex
-    links.
-    """
-    n = len(word)
-    if n == 0:
-        return 0
-
-    def end(i: int, head: bool) -> int:
-        # end index: 2i sits at corner i, 2i+1 at corner i+1
-        return 2 * i + (head != word[i].inverted)
-
-    uf = _UnionFind(2 * n)
-    for i in range(n):
-        uf.union(2 * ((i - 1) % n) + 1, 2 * i)
-    table = word.pairing()
-    free_ends = []
-    for label in table:
-        positions = table.positions(label)
-        if len(positions) == 2:
-            p, q = positions
-            uf.union(end(p, False), end(q, False))
-            uf.union(end(p, True), end(q, True))
-        else:
-            (i,) = positions
-            uf.union(2 * i, 2 * i + 1)
-            free_ends.append(2 * i)
-    return len({uf.find(e) for e in free_ends})
+    """Count boundary components: after the pairs glue the corners into
+    vertices, joining the two corners of each free edge (single letter)
+    leaves one class per boundary circle among the free edges."""
+    return _readings(word)[2]
 
 
 def classify_by_invariants(word: Word) -> NormalForm:
@@ -169,12 +157,11 @@ def classify_by_invariants(word: Word) -> NormalForm:
     characteristic; the capped value then determines the genus within
     the orientable or nonorientable family.
     """
-    chi = euler_characteristic(word)
-    b = boundary_count(word)
-    capped = chi + b
+    vertices, edges, b, is_orientable = _readings(word)
+    capped = vertices - edges + 1 + b
     if capped > 2:
         raise InconsistentInvariants(f"capped characteristic {capped} exceeds 2")
-    if orientable(word):
+    if is_orientable:
         if capped == 2:
             return NormalForm("sphere", 0, b)
         if capped % 2:
@@ -190,13 +177,13 @@ def classify_by_invariants(word: Word) -> NormalForm:
 
 def invariants_summary(word: Word) -> dict:
     """The oracle's readings as a plain dict (the JSON schema)."""
-    complex_ = corner_complex(word)
+    vertices, edges, boundary, is_orientable = _readings(word)
     return {
-        "chi": complex_.chi,
-        "orientable": orientable(word),
-        "boundary": boundary_count(word),
-        "vertices": complex_.vertices,
-        "edges": complex_.edges,
+        "chi": vertices - edges + 1,
+        "orientable": is_orientable,
+        "boundary": boundary,
+        "vertices": vertices,
+        "edges": edges,
     }
 
 

@@ -120,13 +120,14 @@ def _crosscap_site(cur: list[int]) -> tuple[int, int] | None:
 
 
 def _handle_site(cur: list[int], singles: set[int]) -> tuple[int, int, int, int] | None:
-    """Stored positions ``(a1, a2, b1, b2)`` of ``a``, the first pair by
-    first occurrence that crosses another, and ``b``, the first pair that
-    crosses ``a``, in a word with no concord pair and single labels
-    ``singles``.  Scanning with a stack of labels, a pair closing below the
-    top crosses every pair above it, and every crossing is seen at the
-    close of the pair that opened first.  Singles and closed pairs left in
-    the stack are popped when they reach the top."""
+    """Stored positions ``(a1, b1, a2, b2)``, in increasing order and in
+    the argument order of ``_interleave``, of ``a``, the first pair by
+    first occurrence that crosses another, and ``b``, the first pair
+    that crosses ``a``, in a word with no concord pair and single labels
+    ``singles``.  Scanning with a stack of labels, a pair closing below
+    the top crosses every pair above it, and every crossing is seen at
+    the close of the pair that opened first.  Singles and closed pairs
+    left in the stack are popped when they reach the top."""
     first: dict[int, int] = {}
     stack: list[int] = []
     closed = set(singles)
@@ -152,7 +153,7 @@ def _handle_site(cur: list[int], singles: set[int]) -> tuple[int, int, int, int]
     arc = set(cur[a1 + 1 : a2])
     for b1 in range(a1 + 1, a2):
         if cur[b1] ^ 1 not in arc and cur[b1] >> 1 not in singles:
-            return a1, a2, b1, cur.index(cur[b1] ^ 1, a2 + 1)
+            return a1, b1, a2, cur.index(cur[b1] ^ 1, a2 + 1)
 
 
 def _glue_site(partner: list[int]) -> int | None:
@@ -232,13 +233,12 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
     present = set(codes)
     singles = {code >> 1 for code in present if code ^ 1 not in present}
     while (site := _handle_site(codes, singles)) is not None:
-        a1, a2, b1, b2 = site
-        b_in, b_out = (b1, b2) if a1 < b1 else (b2, b1)
-        if (a1, b_in, a2, b_out) != (0, 1, 2, 3):
+        a1, b1, a2, b2 = site
+        if site != (0, 1, 2, 3):
             a, b = names[codes[a1] >> 1], names[codes[b1] >> 1]
             moves.append(("interleave_to_handle", {"a": a, "b": b}))
         moves.append(("hive_handle", {"pos": 0}))
-        _interleave(codes, a1, b_in, a2, b_out)
+        _interleave(codes, a1, b1, a2, b2)
         _remove(codes, 0, 1, 2, 3)
         handles += 1
 

@@ -186,7 +186,9 @@ def transpose_discord(word: Word, label: str, split: int) -> Word:
     ``label`` as ``a beta beta2 a'``, where ``split`` is the position of
     the first letter of ``beta2``, the result reads ``a beta2 beta a'``.
     ``split`` may equal the position of the inverted occurrence, making
-    ``beta2`` empty and the rule the identity.
+    ``beta2`` empty and the rule the identity.  ``split`` is read modulo
+    the word length: on ``a b c a' d`` the splits 7, 12 and -3 all act
+    as 2.
     """
     return _on_word(_transpose_discord, word, label, split)
 
@@ -428,7 +430,7 @@ def _apply(coded: _Coded, rule: str, params: dict | None) -> None:
     ``int`` rejects, raises :class:`NotApplicable` naming it."""
     try:
         applier = _APPLIERS[rule]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a rule name that cannot be hashed
         raise NotApplicable(f"unknown rule {rule!r}") from None
     try:
         applier(coded, params or {})

@@ -380,22 +380,20 @@ def _least_rotation(seq: list) -> tuple:
 def _parse_shared(text: str, letters: dict[str, SignedLetter]) -> Word:
     """``Word.parse(text)``, taking the letter of each token from
     ``letters`` and adding the tokens it has not seen yet, so that words
-    parsed with one table share one letter per distinct token.  Text that
-    is not two or more tokens, or has a bad one, goes to ``Word.parse``.
+    parsed with one table share one letter per distinct token.  Text with
+    a bad token, a compact word among them, goes to ``Word.parse``.
     """
     tokens = text.split()
-    if len(tokens) > 1:
-        try:
-            shared = tuple(map(letters.__getitem__, tokens))
-        except KeyError:  # scan only when some token is new
-            for token in set(tokens).difference(letters):
-                if not _TOKEN_RE.fullmatch(token):
-                    return Word.parse(text)
-                letters[token] = _checked_letter(token.rstrip("'"), token.endswith("'"))
-            shared = tuple(map(letters.__getitem__, tokens))
-        _check_multiplicity(map(attrgetter("label"), shared))
-        return _checked_word(shared)
-    return Word.parse(text)
+    try:
+        shared = tuple(map(letters.__getitem__, tokens))
+    except KeyError:  # scan only when some token is new
+        for token in set(tokens).difference(letters):
+            if not _TOKEN_RE.fullmatch(token):
+                return Word.parse(text)
+            letters[token] = _checked_letter(token.rstrip("'"), token.endswith("'"))
+        shared = tuple(map(letters.__getitem__, tokens))
+    _check_multiplicity(map(attrgetter("label"), shared))
+    return _checked_word(shared)
 
 
 def parse(text: str) -> Word:

@@ -15,6 +15,7 @@ from surfword import (
     NormalForm,
     NotApplicable,
     Orbit,
+    Word,
     bfs_orbit,
     block_at,
     boundary_count,
@@ -35,7 +36,7 @@ from surfword import (
     slide_block,
     transpose_discord,
 )
-from surfword.invariants import _orbit_neighbors
+from surfword.invariants import _orbit_neighbors, _tail_head, _UnionFind
 from surfword.normalform import _partners
 from surfword.rewrite import _apply, _block_size, _Coded, _inverse
 
@@ -147,6 +148,96 @@ class TestClassifyByInvariants:
             "edges": 3,
         }
         assert list(summary) == ["chi", "orientable", "boundary", "vertices", "edges"]
+
+
+def _reference_corner_complex(word):
+    """The corner complex from a union-find over corners alone."""
+    n = len(word)
+    if n == 0:
+        return CornerComplex(1, 0, 1)
+    table = word.pairing()
+    uf = _UnionFind(n)
+    for label in table:
+        positions = table.positions(label)
+        if len(positions) == 2:
+            p, q = positions
+            p_tail, p_head = _tail_head(word, p)
+            q_tail, q_head = _tail_head(word, q)
+            uf.union(p_tail, q_tail)
+            uf.union(p_head, q_head)
+    return CornerComplex(uf.class_count(), len(table), 1)
+
+
+def _reference_boundary_count(word):
+    """Boundary components traced on a separate graph of edge ends: the
+    two ends at every corner are linked, tail end to tail end and head
+    end to head end across every gluing, and the two ends of each free
+    edge; the cycles through a free edge are the boundary components."""
+    n = len(word)
+    if n == 0:
+        return 0
+
+    def end(i, head):
+        # end index: 2i sits at corner i, 2i+1 at corner i+1
+        return 2 * i + (head != word[i].inverted)
+
+    uf = _UnionFind(2 * n)
+    for i in range(n):
+        uf.union(2 * ((i - 1) % n) + 1, 2 * i)
+    table = word.pairing()
+    free_ends = []
+    for label in table:
+        positions = table.positions(label)
+        if len(positions) == 2:
+            p, q = positions
+            uf.union(end(p, False), end(q, False))
+            uf.union(end(p, True), end(q, True))
+        else:
+            (i,) = positions
+            uf.union(2 * i, 2 * i + 1)
+            free_ends.append(2 * i)
+    return len({uf.find(e) for e in free_ends})
+
+
+def _assert_oracle_matches_references(word):
+    complex_ = _reference_corner_complex(word)
+    boundary = _reference_boundary_count(word)
+    assert corner_complex(word) == complex_
+    assert boundary_count(word) == boundary
+    assert invariants_summary(word) == {
+        "chi": complex_.chi,
+        "orientable": orientable(word),
+        "boundary": boundary,
+        "vertices": complex_.vertices,
+        "edges": complex_.edges,
+    }
+
+
+@given(st.one_of(words(), words(max_pairs=0, max_singles=10)))
+@settings(max_examples=400)
+def test_oracle_matches_the_two_union_find_reference(word):
+    _assert_oracle_matches_references(word)
+
+
+@pytest.mark.parametrize(
+    "pairs, singles, seed", [(500, 50, 1), (700, 0, 2), (400, 250, 3), (0, 1000, 4)]
+)
+def test_oracle_matches_the_reference_on_long_words(pairs, singles, seed):
+    _assert_oracle_matches_references(random_word(pairs, singles, seed))
+
+
+@pytest.mark.parametrize("oracle", [classify_by_invariants, invariants_summary])
+def test_oracle_reads_the_pairing_once(oracle, monkeypatch):
+    calls = []
+    pairing = Word.pairing
+
+    def counted(word):
+        calls.append(word)
+        return pairing(word)
+
+    monkeypatch.setattr(Word, "pairing", counted)
+    oracle(parse("a b a' b' x c c y"))
+    assert len(calls) == 1
 
 
 class TestFamilies:

@@ -256,7 +256,7 @@ class TestLongWords:
 
 
 def _reference_handle_site(cur):
-    """The reference for ``_handle_site``: ``(a1, a2, b1, b2)`` or None,
+    """The reference for ``_handle_site``: ``(a1, b1, a2, b2)`` or None,
     found from a table of the partner position of every letter."""
     first = {cur[k] >> 1: k for k in range(len(cur) - 1, -1, -1)}
     last = {code >> 1: k for k, code in enumerate(cur)}
@@ -281,7 +281,7 @@ def _reference_handle_site(cur):
     a2 = partner[a1]
     before = min(partner[a1 + 1 : a2])
     b1 = before if before < a1 else next(k for k in range(a1 + 1, a2) if partner[k] > a2)
-    return a1, a2, b1, partner[b1]
+    return a1, b1, a2, partner[b1]
 
 
 @st.composite
@@ -303,9 +303,7 @@ def test_handle_site_matches_the_partner_table_search(word):
     while (site := _handle_site(codes, singles)) == _reference_handle_site(codes):
         if site is None:
             return
-        a1, a2, b1, b2 = site
-        b_in, b_out = (b1, b2) if a1 < b1 else (b2, b1)
-        _interleave(codes, a1, b_in, a2, b_out)
+        _interleave(codes, *site)
         _remove(codes, 0, 1, 2, 3)
     raise AssertionError((codes, site, _reference_handle_site(codes)))
 

@@ -235,6 +235,11 @@ class TestApplyStep:
         with pytest.raises(NotApplicable):
             apply_step(parse("a a'"), "shrink", {})
 
+    @pytest.mark.parametrize("rule", [{"x": 1}, ["cancel"]])
+    def test_unhashable_rule_is_unknown(self, rule):
+        with pytest.raises(NotApplicable, match="^unknown rule"):
+            apply_step(parse("a a'"), rule, {"pos": 0})
+
 
 def _parse_outcome(parse_word, text):
     try:
@@ -311,6 +316,11 @@ class TestTraceAndReplay:
         step = RewriteStep("cancel", {"pos": 0}, parse("a a"), parse(""))
         with pytest.raises(ReplayMismatch):
             replay(parse("a a"), Trace([step]))
+
+    def test_replay_rejects_an_unhashable_rule(self):
+        step = RewriteStep(["cancel"], {"pos": 0}, parse("a a'"), parse(""))
+        with pytest.raises(ReplayMismatch, match="unknown rule"):
+            replay(parse("a a'"), Trace([step]))
 
     @pytest.mark.parametrize("params", [{"pos": "x"}, {}, {"pos": None}, {"pos": 1e400}])
     def test_replay_rejects_bad_params(self, params):
