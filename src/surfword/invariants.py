@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .normalform import NormalForm, _partners
+from .normalform import NormalForm
 from .rewrite import _block_size, _Coded, _fold, _interleave, _inverse, _remove, _slide, _transpose
 from .words import SignedLetter, Word, _least_rotation, label_sequence
 
@@ -253,6 +253,14 @@ class Orbit:
             return False
         key = word.canonical_key()
         return any(len(m) == len(word) and m.canonical_key() == key for m in self.words)
+
+
+def _partners(cur: list[int]) -> list[int]:
+    """For each position, the position of the other occurrence of its
+    label; a single letter is its own partner."""
+    first = {cur[k] >> 1: k for k in range(len(cur) - 1, -1, -1)}
+    last = {code >> 1: k for k, code in enumerate(cur)}
+    return [j if (j := last[code >> 1]) != k else first[code >> 1] for k, code in enumerate(cur)]
 
 
 def _orbit_neighbors(forward: list[int]) -> Iterator[list[int]]:

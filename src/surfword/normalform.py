@@ -18,8 +18,10 @@ genus ``p + 2t`` when ``p > 0``, the orientable genus ``t`` when
 the tallied holes.
 
 The stages work on one coded word, not on :class:`Word` values: each
-step finds a rule's site in one O(n) pass, applies that rule's own edit
-from :mod:`surfword.rewrite` there (O(n) too), and records the rule.
+step finds a rule's site with a search that stops as soon as the site
+is fixed and reads at most one O(n) pass (the handle stage adds one set
+over the first pair's arc), applies that rule's own edit from
+:mod:`surfword.rewrite` there (O(n) too), and records the rule.
 The returned :class:`Trace` keeps those moves with the initial and final
 words and builds the words between on demand, so :func:`classify` and
 :func:`equivalent` never build them.  ``surfword batch`` runs the stages
@@ -28,7 +30,9 @@ on the codes it reads from each line and builds no word and no trace.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .rewrite import Trace, _Coded, _fold, _glue, _interleave, _remove
 from .words import SignedLetter, Word
@@ -101,16 +105,13 @@ class NormalForm:
         return self.describe()
 
 
-def _partners(cur: list[int]) -> list[int]:
-    """For each position, the position of the other occurrence of its
-    label; a single letter is its own partner."""
-    first = {cur[k] >> 1: k for k in range(len(cur) - 1, -1, -1)}
-    last = {code >> 1: k for k, code in enumerate(cur)}
-    return [j if (j := last[code >> 1]) != k else first[code >> 1] for k, code in enumerate(cur)]
-
-
 def _crosscap_site(cur: list[int]) -> tuple[int, int] | None:
-    """Stored positions of the first code that occurs twice: a concord pair."""
+    """Stored positions of the first code that occurs twice: a concord
+    pair.  Position 0 is tried first, as a fold there leaves the inverse
+    of its run in front; the code -> last position table is built only
+    when the pair does not start at 0."""
+    if cur and cur.count(cur[0]) == 2:
+        return 0, cur.index(cur[0], 1)
     last = dict(zip(cur, range(len(cur))))
     if len(last) == len(cur):
         return None
@@ -124,70 +125,108 @@ def _handle_site(cur: list[int], singles: set[int]) -> tuple[int, int, int, int]
     the argument order of ``_interleave``, of ``a``, the first pair by
     first occurrence that crosses another, and ``b``, the first pair
     that crosses ``a``, in a word with no concord pair and single labels
-    ``singles``.  Scanning with a stack of labels, a pair closing below
-    the top crosses every pair above it, and every crossing is seen at
-    the close of the pair that opened first.  Singles and closed pairs
-    left in the stack are popped when they reach the top."""
+    ``singles``.
+
+    The first pair is tried first, with one set of the codes in its arc.
+    When it crosses nothing, a scan with a stack of pair openers finds
+    ``a``: a pair closing below the top crosses every pair above it, and
+    every crossing is seen at the close of the pair that opened first.
+    Closed pairs left in the stack are popped when they reach the top.
+    Only the close of a pair opened before ``a1`` can lower ``a1``, so
+    the scan stops once ``a1`` is known and no such pair is open; the
+    first pair, nested with every other, is left out of the scan.  No
+    step reads more than the scan and the one set over the first arc.
+    """
+    n = len(cur)
+    i0 = next((k for k, code in enumerate(cur) if code >> 1 not in singles), n)
+    if i0 == n:
+        return None
+    j0 = cur.index(cur[i0] ^ 1, i0 + 1)
+    if site := _crossing_site(cur, singles, i0, j0):
+        return site
     first: dict[int, int] = {}
     stack: list[int] = []
-    closed = set(singles)
-    a1 = a2 = n = len(cur)
-    for k, code in enumerate(cur):
-        label = code >> 1
+    closed: set[int] = set()
+    # pending counts the open pairs opened before a1, the first left out;
+    # while a1 is unknown it stays above 0
+    a1 = a2 = pending = n
+    for k in chain(range(i0 + 1, j0), range(j0 + 1, n)):
+        label = cur[k] >> 1
         opened = first.setdefault(label, k)
         if opened == k:
-            stack.append(label)
+            if label not in singles:
+                stack.append(k)
+            continue
+        while stack[-1] in closed:
+            stack.pop()
+        if stack[-1] == opened:
+            stack.pop()
+            pending -= opened < a1
         else:
-            while stack[-1] in closed:
-                stack.pop()
-            if stack[-1] == label:
-                stack.pop()
-            else:
-                closed.add(label)
-                if opened < a1:
-                    a1, a2 = opened, k
+            closed.add(opened)
+            if opened < a1:
+                # every pair below it in the stack is open: a crossed one
+                # would have set a smaller a1
+                a1, a2, pending = opened, k, bisect_left(stack, opened)
+        if not pending:
+            break
     if a1 == n:
         return None
-    # b has one occurrence inside a and the other after a2: a pair that
-    # opened before a1 and closed inside a would have set a smaller a1
+    return _crossing_site(cur, singles, a1, a2)
+
+
+def _crossing_site(
+    cur: list[int], singles: set[int], a1: int, a2: int
+) -> tuple[int, int, int, int] | None:
+    """``(a1, b1, a2, b2)`` for ``b``, the first pair with one occurrence
+    inside the pair ``a`` at ``a1 < a2`` and the other outside, or None.
+    When no pair opened before ``a1`` crosses another, that other
+    occurrence comes after ``a2``."""
     arc = set(cur[a1 + 1 : a2])
     for b1 in range(a1 + 1, a2):
         if cur[b1] ^ 1 not in arc and cur[b1] >> 1 not in singles:
             return a1, b1, a2, cur.index(cur[b1] ^ 1, a2 + 1)
-
-
-def _glue_site(partner: list[int]) -> int | None:
-    """First position holding a single letter followed cyclically by
-    another single letter."""
-    singles = [k for k, p in enumerate(partner) if k == p]
-    for k, nxt in zip(singles, singles[1:]):
-        if nxt == k + 1:
-            return k
-    if len(singles) >= 2 and singles[0] == 0 and singles[-1] == len(partner) - 1:
-        return singles[-1]
     return None
 
 
-def _hole_site(partner: list[int]) -> tuple[int, int, int | None]:
+def _glue_site(cur: list[int], single: set[int]) -> int | None:
+    """First position holding a single letter followed cyclically by
+    another single letter, read from one flag per position; ``single``
+    holds the codes of the single letters."""
+    flags = bytes([code in single for code in cur])
+    pos = flags.find(b"\1\1")
+    if pos >= 0:
+        return pos
+    if len(flags) >= 2 and flags[0] and flags[-1]:
+        return len(flags) - 1
+    return None
+
+
+def _hole_site(cur: list[int], single: set[int]) -> tuple[int, int, int | None]:
     """The first pair, in order of first occurrence, with a pair-free
     arc: its two positions ``(first, second)`` in arc order and the
     arc's one single letter, or None for an empty arc.
 
     In a word with no interleaved pairs the paired occurrences nest, so
     some pair encloses no other on one side.  After single letters have
-    been merged, that arc holds at most one letter.
+    been merged, that arc holds at most one letter.  As every pair is
+    discord, the partner of position ``i`` is the code ``cur[i] ^ 1``:
+    the scan stops at the first ``i`` where it sits at ``i + 1``, at
+    ``i + 2`` around a single, or, for ``i`` 0 or 1, across the wrap,
+    trying the inner arc before the wrap arc.
     """
-    n = len(partner)
-    for i, j in enumerate(partner):
-        if j <= i:
-            continue
-        for first, second in ((i, j), (j, i)):
-            arc = (second - first - 1) % n
-            if arc == 0:
-                return first, second, None
-            middle = (first + 1) % n
-            if arc == 1 and partner[middle] == middle:
-                return first, second, middle
+    n = len(cur)
+    for i, code in enumerate(cur):
+        other = code ^ 1
+        if i + 1 < n and cur[i + 1] == other:
+            return i, i + 1, None
+        if i + 2 < n and cur[i + 2] == other and cur[i + 1] in single:
+            return i, i + 2, i + 1
+        if i < 2:
+            if i == 0 and cur[-1] == other:
+                return n - 1, 0, None
+            if cur[i - 2] == other and cur[i - 1] in single:
+                return (i - 2) % n, i, (i - 1) % n
     raise AssertionError("non-interleaved pairs must nest")
 
 
@@ -207,14 +246,18 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
     """The three stages of :func:`normalize` on ``coded``, which they
     edit down to the residual word: the normal form and the moves.
 
-    Each step finds its site in one pass over the letter codes ``2 * id
-    + inverted``: the crosscap stage looks for the first code that occurs
-    twice; the handle stage, with no concord pair left, reads a pair's
-    other occurrence as the inverse code and takes its single labels,
-    which it never moves, once; the boundary stage reads a table of
-    partner positions.  It applies the rule's own edit there, unchecked,
-    and records ``(rule, params)``.  A ``fold_concord`` or
-    ``interleave_to_handle`` that would return its input is not recorded.
+    Each step finds its site in the letter codes ``2 * id + inverted``
+    and stops once it is fixed: the crosscap stage looks for the first
+    code that occurs twice, trying position 0 before it builds a table;
+    the handle stage, with no concord pair left, reads a pair's other
+    occurrence as the inverse code, takes its single labels, which it
+    never moves, once, and tries the first pair before a stack scan that
+    stops when no earlier pair is open; the boundary stage keeps the set
+    of single codes through the stage, finds a glue in one flag per
+    position and stops its hole scan at the first pair-free arc.  It
+    applies the rule's own edit there, unchecked, and records ``(rule,
+    params)``.  A ``fold_concord`` or ``interleave_to_handle`` that would
+    return its input is not recorded.
     """
     codes, names = coded.codes, coded.names
     moves: list[tuple[str, dict]] = []
@@ -231,7 +274,8 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
 
     handles = 0
     present = set(codes)
-    singles = {code >> 1 for code in present if code ^ 1 not in present}
+    single = {code for code in present if code ^ 1 not in present}
+    singles = {code >> 1 for code in single}
     while (site := _handle_site(codes, singles)) is not None:
         a1, b1, a2, b2 = site
         if site != (0, 1, 2, 3):
@@ -242,24 +286,28 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
         _remove(codes, 0, 1, 2, 3)
         handles += 1
 
+    # no pair becomes single: a glue swaps its two codes for the new one,
+    # and a hole drops its middle
     holes = 0
     while True:
-        partner = _partners(codes)
-        pos = _glue_site(partner)
+        pos = _glue_site(codes, single)
         if pos is not None:
             moves.append(("glue_singles", {"pos": pos}))
+            single -= {codes[pos], codes[(pos + 1) % len(codes)]}
             _glue(coded, pos)
+            single.add(codes[min(pos, len(codes) - 1)])
             continue
         if len(codes) <= 1:
             # no pair is left, and merging left at most one single letter
             holes += len(codes)
             break
-        first, second, middle = _hole_site(partner)
+        first, second, middle = _hole_site(codes, single)
         if middle is None:
             moves.append(("cancel", {"pos": first}))
             _remove(codes, first, second)
         else:
             moves.append(("hive_hole", {"label": names[codes[first] >> 1]}))
+            single.discard(codes[middle])
             _remove(codes, first, second, middle)
             holes += 1
 

@@ -36,8 +36,7 @@ from surfword import (
     slide_block,
     transpose_discord,
 )
-from surfword.invariants import _orbit_neighbors, _tail_head, _UnionFind
-from surfword.normalform import _partners
+from surfword.invariants import _orbit_neighbors, _partners, _tail_head, _UnionFind
 from surfword.rewrite import _apply, _block_size, _Coded, _inverse
 
 from conftest import every_word_over_three_labels, relabeled, words

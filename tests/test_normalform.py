@@ -1,6 +1,7 @@
 """Normalization, normal forms, and the canonical word for each form."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,14 +21,16 @@ from surfword import (
     family_iii,
     family_iv,
     family_v,
+    label_sequence,
     normalize,
     parse,
     random_word,
     replay,
 )
 
-from surfword.normalform import _handle_site
-from surfword.rewrite import _interleave, _remove
+from surfword.invariants import _partners
+from surfword.normalform import _crosscap_site, _glue_site, _handle_site, _hole_site
+from surfword.rewrite import _Coded, _fold, _glue, _interleave, _remove
 
 from conftest import words
 
@@ -255,6 +258,74 @@ class TestLongWords:
         assert digest == "45fb69f817c381118f27f75f71efd430cc0e33078f2888698b9046c5a98d1480"
 
 
+def twice_nested_handles(m: int) -> Word:
+    """``p1 q1 a1 b1 a1' b1' ... pm qm am bm am' bm' x qm' pm' ... q1'
+    p1'``: m handles nested in two pairs each around one hole, 8m + 1
+    letters.  The first pair crosses no other, and the second stays
+    open to the end of the word."""
+    letters = []
+    for i in range(1, m + 1):
+        p, q, a, b = (SignedLetter(f"{name}{i}") for name in "pqab")
+        letters += [p, q, a, b, a.inverse(), b.inverse()]
+    letters.append(SignedLetter("x"))
+    for i in range(m, 0, -1):
+        letters += [SignedLetter(f"q{i}", True), SignedLetter(f"p{i}", True)]
+    return Word(tuple(letters))
+
+
+def nested_holes(pairs: int, before: int, after: int, seed: int) -> Word:
+    """``before`` single letters, then ``o ... o'`` framing ``pairs``
+    discord pairs nested at random with a run of 0 to 2 single letters
+    of either flag after each letter, then ``after`` single letters;
+    deterministic in ``seed``."""
+    rng = random.Random(seed)
+    count = 0
+
+    def run(size):
+        nonlocal count
+        count += size
+        return [SignedLetter(f"x{count - k}", rng.random() < 0.5) for k in range(size)]
+
+    letters = run(before) + [SignedLetter("o")]
+    stack = []
+    for k in range(pairs):
+        while stack and rng.random() < 0.5:
+            letters += [stack.pop().inverse()] + run(rng.randrange(3))
+        stack.append(SignedLetter(f"p{k}", rng.random() < 0.5))
+        letters += [stack[-1]] + run(rng.randrange(3))
+    while stack:
+        letters += [stack.pop().inverse()] + run(rng.randrange(3))
+    return Word(tuple(letters + [SignedLetter("o", True)] + run(after)))
+
+
+# Shapes that LONG_WORDS does not reach: handle stages whose first pair
+# crosses no other while a second outer pair keeps the site search to
+# the end of the word, and boundary stages that glue across the wrap,
+# cancel the pair at n - 1 and 0, and hive holes across the wrap.
+LONG_SHAPES = [
+    pytest.param(twice_nested_handles(m), id=f"twice_nested_handles({m})") for m in (50, 125)
+] + [
+    pytest.param(nested_holes(100, b, a, 10 * b + a), id=f"nested_holes(100,{b},{a})")
+    for b in range(3)
+    for a in range(3)
+]
+# sha256 over the traces of LONG_SHAPES, computed with the normalizer
+# that built a table of partner positions on every boundary step and ran
+# each handle-stage stack scan to the end of the word.
+LONG_SHAPES_TRACES_SHA256 = "fa71da0afb04a90e78e1af1e9867d1a2374c05b7df18b102bae72fe6dfdf6bb3"
+
+
+class TestLongShapes:
+    @pytest.mark.parametrize("word", LONG_SHAPES)
+    def test_agrees_with_the_oracle_and_replays(self, word):
+        form, trace = normalize(word)
+        assert form == classify_by_invariants(word)
+        assert replay(word, Trace.from_json(trace.to_json())) == trace.final_word()
+
+    def test_long_shape_traces_are_pinned(self):
+        assert _traces_sha256(p.values[0] for p in LONG_SHAPES) == LONG_SHAPES_TRACES_SHA256
+
+
 def _reference_handle_site(cur):
     """The reference for ``_handle_site``: ``(a1, b1, a2, b2)`` or None,
     found from a table of the partner position of every letter."""
@@ -287,12 +358,16 @@ def _reference_handle_site(cur):
 @st.composite
 def discord_codes(draw):
     """Letter codes of a word with no concord pair: discord pairs, either
-    occurrence first, and single letters of either flag; the codes and
-    the single labels."""
+    occurrence first, and single letters of either flag, in a drawn order
+    and wrapped in 0 to 3 nested outer pairs; the codes and the single
+    labels."""
     pairs, singles = draw(st.integers(0, 16)), draw(st.integers(0, 8))
+    outer = draw(st.integers(0, 3))
     codes = [2 * i + flip for i in range(pairs) for flip in (0, 1)]
     codes += [2 * (pairs + i) + draw(st.booleans()) for i in range(singles)]
-    return draw(st.permutations(codes)), set(range(pairs, pairs + singles))
+    head = [2 * (pairs + singles + i) + draw(st.booleans()) for i in range(outer)]
+    codes = head + draw(st.permutations(codes)) + [code ^ 1 for code in reversed(head)]
+    return codes, set(range(pairs, pairs + singles))
 
 
 @given(discord_codes())
@@ -307,6 +382,129 @@ def test_handle_site_matches_the_partner_table_search(word):
         _remove(codes, 0, 1, 2, 3)
     raise AssertionError((codes, site, _reference_handle_site(codes)))
 
+
+
+def _reference_crosscap_site(cur):
+    """The reference for ``_crosscap_site``: the first code that occurs
+    twice, found from a table of the last position of every code."""
+    last = dict(zip(cur, range(len(cur))))
+    if len(last) == len(cur):
+        return None
+    for i, code in enumerate(cur):
+        if last[code] > i:
+            return i, last[code]
+
+
+@st.composite
+def concord_codes(draw):
+    """Letter codes of a word with at least one concord pair: pairs with
+    independent flags and single letters of either flag in a drawn order,
+    led by a drawn concord pair or a single letter."""
+    pairs, singles = draw(st.integers(1, 16)), draw(st.integers(0, 8))
+    codes = [2 * (k // 2) + draw(st.booleans()) for k in range(2 * pairs)]
+    codes[1] = codes[0]
+    codes += [2 * (pairs + i) + draw(st.booleans()) for i in range(singles)]
+    codes = draw(st.permutations(codes))
+    lead = 2 * (pairs + singles) + draw(st.booleans())
+    if draw(st.booleans()):
+        codes.insert(draw(st.integers(0, len(codes))), lead)
+    return [lead] + codes
+
+
+@given(concord_codes())
+@settings(max_examples=300, deadline=None)
+def test_crosscap_site_matches_the_table_search(codes):
+    # every word the crosscap stage passes through on the way
+    while (site := _crosscap_site(codes)) == _reference_crosscap_site(codes):
+        if site is None:
+            return
+        i, j = site
+        _fold(codes, i, j)
+        _remove(codes, j - 1, j)
+    raise AssertionError((codes, site, _reference_crosscap_site(codes)))
+
+
+def _reference_glue_site(partner):
+    """The reference for ``_glue_site``, from a table of partner positions."""
+    singles = [k for k, p in enumerate(partner) if k == p]
+    for k, nxt in zip(singles, singles[1:]):
+        if nxt == k + 1:
+            return k
+    if len(singles) >= 2 and singles[0] == 0 and singles[-1] == len(partner) - 1:
+        return singles[-1]
+    return None
+
+
+def _reference_hole_site(partner):
+    """The reference for ``_hole_site``, from a table of partner positions."""
+    n = len(partner)
+    for i, j in enumerate(partner):
+        if j <= i:
+            continue
+        for first, second in ((i, j), (j, i)):
+            arc = (second - first - 1) % n
+            if arc == 0:
+                return first, second, None
+            middle = (first + 1) % n
+            if arc == 1 and partner[middle] == middle:
+                return first, second, middle
+    raise AssertionError("non-interleaved pairs must nest")
+
+
+@st.composite
+def nested_codes(draw):
+    """Letter codes of a word whose discord pairs nest, either occurrence
+    first, with a run of 0 to 2 single letters of either flag before the
+    first letter and after each, rotated by a drawn amount so that pairs
+    and singles sit at both ends."""
+    codes: list[int] = []
+    stack: list[int] = []
+    labels = iter(range(100))
+
+    def run():
+        codes.extend(2 * next(labels) + draw(st.booleans()) for _ in range(draw(st.integers(0, 2))))
+
+    run()
+    for _ in range(draw(st.integers(0, 12))):
+        while stack and draw(st.booleans()):
+            codes.append(stack.pop() ^ 1)
+            run()
+        stack.append(2 * next(labels) + draw(st.booleans()))
+        codes.append(stack[-1])
+        run()
+    while stack:
+        codes.append(stack.pop() ^ 1)
+        run()
+    k = draw(st.integers(0, max(len(codes) - 1, 0)))
+    return codes[k:] + codes[:k]
+
+
+@given(nested_codes())
+@settings(max_examples=300, deadline=None)
+def test_boundary_sites_match_the_partner_table_search(codes):
+    names = [name for name, _ in zip(label_sequence(), range(100))]
+    coded = _Coded(codes, names, {})
+    single = {code for code in codes if code ^ 1 not in codes}
+    # every word the boundary stage passes through on the way, with the
+    # single codes that the stage keeps
+    while True:
+        partner = _partners(codes)
+        assert single == {codes[k] for k, p in enumerate(partner) if k == p}
+        pos = _glue_site(codes, single)
+        assert pos == _reference_glue_site(partner), (codes, pos)
+        if pos is not None:
+            single -= {codes[pos], codes[(pos + 1) % len(codes)]}
+            _glue(coded, pos)
+            single.add(codes[min(pos, len(codes) - 1)])
+            continue
+        if len(codes) <= 1:
+            return
+        site = _hole_site(codes, single)
+        assert site == _reference_hole_site(partner), (codes, site)
+        first, second, middle = site
+        if middle is not None:
+            single.discard(codes[middle])
+        _remove(codes, *(k for k in site if k is not None))
 
 class TestEquivalent:
     def test_identities(self):
