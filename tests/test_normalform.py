@@ -383,7 +383,6 @@ def test_handle_site_matches_the_partner_table_search(word):
     raise AssertionError((codes, site, _reference_handle_site(codes)))
 
 
-
 def _reference_crosscap_site(cur):
     """The reference for ``_crosscap_site``: the first code that occurs
     twice, found from a table of the last position of every code."""
@@ -502,9 +501,12 @@ def test_boundary_sites_match_the_partner_table_search(codes):
         site = _hole_site(codes, single)
         assert site == _reference_hole_site(partner), (codes, site)
         first, second, middle = site
-        if middle is not None:
+        if middle is None:
+            _remove(codes, first, second)
+        else:
             single.discard(codes[middle])
-        _remove(codes, *(k for k in site if k is not None))
+            _remove(codes, first, second, middle)
+
 
 class TestEquivalent:
     def test_identities(self):

@@ -1,21 +1,22 @@
 """A/B runs of the benchmark: a parent commit against a change.
 
-    python3 tools/ab.py --parent REF [--change REF] [--seconds S]
-        [--pairs N] [--first-seed K] [--trees DIR] --out BENCH_name.json
+    python3 tools/ab.py --parent REF [--change REF] --out BENCH_name.json
         [WORKLOAD[=PAIRS] ...]
 
-Each commit is unpacked with ``git archive`` into its own tree under
-``--trees`` (a temporary directory by default).  For each workload (all
-of ``BENCHMARK.json`` by default) it runs ``bench/run.py --trace 0`` on
-both trees in pairs: pair ``p`` uses seed ``K + p`` on both sides, and
-the side that runs first alternates, the parent first in even pairs.
-The runs are one at a time.  The output file holds both commits, the
-command line, every end-to-end metric of every run, and per metric the
-medians and quartiles of each side, the ratio of the medians, the pairs
-the change won (ties count for neither side), whether the change's
-median is within the metric's ``BENCHMARK.json`` bound, and whether it
-wins at least nine tenths of the pairs by more than the parent's
-interquartile range.  Standard library only.
+Each commit is unpacked with ``git archive`` into its own tree in a
+temporary directory.  For each workload (all of ``BENCHMARK.json`` by
+default) it runs ``bench/run.py --trace 0`` for the benchmark's
+``run_seconds`` on both trees in PAIRS pairs (10 by default): pair ``p``
+uses seed ``p + 1`` on both sides, and the side that runs first
+alternates, the parent first in even pairs.  The runs are one at a
+time.  The output file holds both commits, the command line, every
+end-to-end metric of every run, the failed and attempted operations of
+each side, and per metric the medians and quartiles of each side, the
+ratio of the medians, the pairs the change won (ties count for neither
+side), whether the change's median is within the metric's
+``BENCHMARK.json`` bound, and whether it wins at least nine tenths of
+the pairs by more than the parent's interquartile range.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -102,10 +103,6 @@ def main(argv: list[str] | None = None) -> None:
                         default=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
     parser.add_argument("--change", default="HEAD", help="git ref of the change (HEAD)")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (10)")
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--trees", type=Path, help="where to unpack the two commits")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -115,25 +112,25 @@ def main(argv: list[str] | None = None) -> None:
         name, _, pairs = item.partition("=")
         if name not in names:
             parser.error(f"unknown workload {name!r}")
-        plan.append((name, int(pairs) if pairs else args.pairs))
+        plan.append((name, int(pairs) if pairs else 10))
     commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}")
                for side, ref in (("parent", args.parent), ("change", args.change))}
     same_bench = not subprocess.run(
         ["git", "diff", "--quiet", commits["parent"], commits["change"], "--",
          "bench", "BENCHMARK.json"], cwd=ROOT).returncode
 
+    seconds = spec["run_seconds"]
     with tempfile.TemporaryDirectory() as scratch:
-        trees_dir = args.trees or Path(scratch)
-        trees = {side: unpack(commit, trees_dir) for side, commit in commits.items()}
+        trees = {side: unpack(commit, Path(scratch)) for side, commit in commits.items()}
         workloads = {}
         for name, pairs in plan:
             runs = []
             for p in range(pairs):
-                seed = args.first_seed + p
+                seed = p + 1
                 order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = bench(trees[side], name, seed, args.seconds)
+                    run[side] = bench(trees[side], name, seed, seconds)
                     print(f"{name} seed {seed} {side}: "
                           f"{ {k: round(v, 3) for k, v in run[side].items()} }", file=sys.stderr)
                 runs.append(run)
@@ -150,7 +147,7 @@ def main(argv: list[str] | None = None) -> None:
         "change": {"ref": args.change, "commit": commits["change"]},
         "command": shlex.join(["python3", "tools/ab.py", *(argv if argv is not None else sys.argv[1:])]),
         "bench_command": "python3 bench/run.py --workload W --seed S "
-                         f"--seconds {args.seconds} --trace 0",
+                         f"--seconds {seconds} --trace 0",
         "same_benchmark": same_bench,
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus, Python {platform.python_version()}",
         "workloads": workloads,
