@@ -106,12 +106,7 @@ class NormalForm:
 
 
 def _crosscap_site(cur: list[int]) -> tuple[int, int] | None:
-    """Stored positions of the first code that occurs twice: a concord
-    pair.  Position 0 is tried first, as a fold there leaves the inverse
-    of its run in front; the code -> last position table is built only
-    when the pair does not start at 0."""
-    if cur and cur.count(cur[0]) == 2:
-        return 0, cur.index(cur[0], 1)
+    """Stored positions of the first code that occurs twice: a concord pair."""
     last = dict(zip(cur, range(len(cur))))
     if len(last) == len(cur):
         return None
@@ -120,12 +115,12 @@ def _crosscap_site(cur: list[int]) -> tuple[int, int] | None:
             return i, last[code]
 
 
-def _handle_site(cur: list[int], singles: set[int]) -> tuple[int, int, int, int] | None:
+def _handle_site(cur: list[int], single: set[int]) -> tuple[int, int, int, int] | None:
     """Stored positions ``(a1, b1, a2, b2)``, in increasing order and in
     the argument order of ``_interleave``, of ``a``, the first pair by
     first occurrence that crosses another, and ``b``, the first pair
-    that crosses ``a``, in a word with no concord pair and single labels
-    ``singles``.
+    that crosses ``a``, in a word with no concord pair and single letter
+    codes ``single``.
 
     The first pair is tried first, with one set of the codes in its arc.
     When it crosses nothing, a scan with a stack of pair openers finds
@@ -138,11 +133,11 @@ def _handle_site(cur: list[int], singles: set[int]) -> tuple[int, int, int, int]
     step reads more than the scan and the one set over the first arc.
     """
     n = len(cur)
-    i0 = next((k for k, code in enumerate(cur) if code >> 1 not in singles), n)
+    i0 = next((k for k, code in enumerate(cur) if code not in single), n)
     if i0 == n:
         return None
     j0 = cur.index(cur[i0] ^ 1, i0 + 1)
-    if site := _crossing_site(cur, singles, i0, j0):
+    if site := _crossing_site(cur, single, i0, j0):
         return site
     first: dict[int, int] = {}
     stack: list[int] = []
@@ -151,11 +146,12 @@ def _handle_site(cur: list[int], singles: set[int]) -> tuple[int, int, int, int]
     # while a1 is unknown it stays above 0
     a1 = a2 = pending = n
     for k in chain(range(i0 + 1, j0), range(j0 + 1, n)):
-        label = cur[k] >> 1
-        opened = first.setdefault(label, k)
+        code = cur[k]
+        if code in single:
+            continue
+        opened = first.setdefault(code >> 1, k)
         if opened == k:
-            if label not in singles:
-                stack.append(k)
+            stack.append(k)
             continue
         while stack[-1] in closed:
             stack.pop()
@@ -172,11 +168,11 @@ def _handle_site(cur: list[int], singles: set[int]) -> tuple[int, int, int, int]
             break
     if a1 == n:
         return None
-    return _crossing_site(cur, singles, a1, a2)
+    return _crossing_site(cur, single, a1, a2)
 
 
 def _crossing_site(
-    cur: list[int], singles: set[int], a1: int, a2: int
+    cur: list[int], single: set[int], a1: int, a2: int
 ) -> tuple[int, int, int, int] | None:
     """``(a1, b1, a2, b2)`` for ``b``, the first pair with one occurrence
     inside the pair ``a`` at ``a1 < a2`` and the other outside, or None.
@@ -184,7 +180,7 @@ def _crossing_site(
     occurrence comes after ``a2``."""
     arc = set(cur[a1 + 1 : a2])
     for b1 in range(a1 + 1, a2):
-        if cur[b1] ^ 1 not in arc and cur[b1] >> 1 not in singles:
+        if cur[b1] ^ 1 not in arc and cur[b1] not in single:
             return a1, b1, a2, cur.index(cur[b1] ^ 1, a2 + 1)
     return None
 
@@ -247,10 +243,10 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
     edit down to the residual word: the normal form and the moves.
 
     Each step finds its site in the letter codes ``2 * id + inverted``
-    and stops once it is fixed: the crosscap stage looks for the first
-    code that occurs twice, trying position 0 before it builds a table;
-    the handle stage, with no concord pair left, reads a pair's other
-    occurrence as the inverse code, takes its single labels, which it
+    and stops once it is fixed: the crosscap stage builds one code ->
+    last position table and stops at the first code that occurs again; the
+    handle stage, with no concord pair left, reads a pair's other
+    occurrence as the inverse code, takes its single letters, which it
     never moves, once, and tries the first pair before a stack scan that
     stops when no earlier pair is open; the boundary stage keeps the set
     of single codes through the stage, finds a glue in one flag per
@@ -275,8 +271,7 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
     handles = 0
     present = set(codes)
     single = {code for code in present if code ^ 1 not in present}
-    singles = {code >> 1 for code in single}
-    while (site := _handle_site(codes, singles)) is not None:
+    while (site := _handle_site(codes, single)) is not None:
         a1, b1, a2, b2 = site
         if site != (0, 1, 2, 3):
             a, b = names[codes[a1] >> 1], names[codes[b1] >> 1]

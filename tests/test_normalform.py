@@ -29,8 +29,8 @@ from surfword import (
 )
 
 from surfword.invariants import _partners
-from surfword.normalform import _crosscap_site, _glue_site, _handle_site, _hole_site
-from surfword.rewrite import _Coded, _fold, _glue, _interleave, _remove
+from surfword.normalform import _glue_site, _handle_site, _hole_site
+from surfword.rewrite import _Coded, _glue, _interleave, _remove
 
 from conftest import words
 
@@ -359,68 +359,29 @@ def _reference_handle_site(cur):
 def discord_codes(draw):
     """Letter codes of a word with no concord pair: discord pairs, either
     occurrence first, and single letters of either flag, in a drawn order
-    and wrapped in 0 to 3 nested outer pairs; the codes and the single
-    labels."""
+    and wrapped in 0 to 3 nested outer pairs; the codes and the set of
+    single letter codes."""
     pairs, singles = draw(st.integers(0, 16)), draw(st.integers(0, 8))
     outer = draw(st.integers(0, 3))
     codes = [2 * i + flip for i in range(pairs) for flip in (0, 1)]
     codes += [2 * (pairs + i) + draw(st.booleans()) for i in range(singles)]
     head = [2 * (pairs + singles + i) + draw(st.booleans()) for i in range(outer)]
+    single = set(codes[2 * pairs :])
     codes = head + draw(st.permutations(codes)) + [code ^ 1 for code in reversed(head)]
-    return codes, set(range(pairs, pairs + singles))
+    return codes, single
 
 
 @given(discord_codes())
 @settings(max_examples=300, deadline=None)
 def test_handle_site_matches_the_partner_table_search(word):
-    codes, singles = word
+    codes, single = word
     # every word the handle stage passes through on the way
-    while (site := _handle_site(codes, singles)) == _reference_handle_site(codes):
+    while (site := _handle_site(codes, single)) == _reference_handle_site(codes):
         if site is None:
             return
         _interleave(codes, *site)
         _remove(codes, 0, 1, 2, 3)
     raise AssertionError((codes, site, _reference_handle_site(codes)))
-
-
-def _reference_crosscap_site(cur):
-    """The reference for ``_crosscap_site``: the first code that occurs
-    twice, found from a table of the last position of every code."""
-    last = dict(zip(cur, range(len(cur))))
-    if len(last) == len(cur):
-        return None
-    for i, code in enumerate(cur):
-        if last[code] > i:
-            return i, last[code]
-
-
-@st.composite
-def concord_codes(draw):
-    """Letter codes of a word with at least one concord pair: pairs with
-    independent flags and single letters of either flag in a drawn order,
-    led by a drawn concord pair or a single letter."""
-    pairs, singles = draw(st.integers(1, 16)), draw(st.integers(0, 8))
-    codes = [2 * (k // 2) + draw(st.booleans()) for k in range(2 * pairs)]
-    codes[1] = codes[0]
-    codes += [2 * (pairs + i) + draw(st.booleans()) for i in range(singles)]
-    codes = draw(st.permutations(codes))
-    lead = 2 * (pairs + singles) + draw(st.booleans())
-    if draw(st.booleans()):
-        codes.insert(draw(st.integers(0, len(codes))), lead)
-    return [lead] + codes
-
-
-@given(concord_codes())
-@settings(max_examples=300, deadline=None)
-def test_crosscap_site_matches_the_table_search(codes):
-    # every word the crosscap stage passes through on the way
-    while (site := _crosscap_site(codes)) == _reference_crosscap_site(codes):
-        if site is None:
-            return
-        i, j = site
-        _fold(codes, i, j)
-        _remove(codes, j - 1, j)
-    raise AssertionError((codes, site, _reference_crosscap_site(codes)))
 
 
 def _reference_glue_site(partner):
