@@ -13,8 +13,13 @@ HIGHER = {"name": "m", "unit": "1/s", "better": "higher", "bound": 0.25}
 LOWER = dict(HIGHER, better="lower")
 
 
-def runs(parent, change):
-    return [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+def runs(parent, change, failed=(0, 0)):
+    """A/B runs of metric ``m``; each side fails ``failed`` of 100 operations."""
+    return [
+        {"parent": {"m": p, "failed": failed[0], "attempted": 100},
+         "change": {"m": c, "failed": failed[1], "attempted": 100}}
+        for p, c in zip(parent, change)
+    ]
 
 
 def test_pairs_won_follow_the_direction_and_ties_count_for_neither():
@@ -38,3 +43,16 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_spread():
     assert not ab.summary(HIGHER, runs(parent, [120] * 8 + [90] * 2))["gain"]
     # wins every pair, but by less than the parent's interquartile range
     assert not ab.summary(HIGHER, runs(parent, [p + 1 for p in parent]))["gain"]
+
+
+def test_gain_needs_ten_pairs():
+    parent = list(range(100, 109))
+    summary = ab.summary(HIGHER, runs(parent, [120] * 9))
+    assert summary["pairs_won"] == 9 and not summary["gain"]
+
+
+def test_gain_needs_no_larger_share_of_failed_operations():
+    parent, change = list(range(100, 110)), [120] * 10
+    assert ab.summary(HIGHER, runs(parent, change, failed=(1, 1)))["gain"]
+    assert ab.summary(HIGHER, runs(parent, change, failed=(2, 1)))["gain"]
+    assert not ab.summary(HIGHER, runs(parent, change, failed=(0, 1)))["gain"]

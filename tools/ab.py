@@ -1,21 +1,26 @@
 """A/B runs of the benchmark: a parent commit against a change.
 
-    python3 tools/ab.py --parent REF [--change REF] --out BENCH_name.json
-        [WORKLOAD[=PAIRS] ...]
+    python3 tools/ab.py --parent REF [--change REF] [--seed N]
+        --out BENCH_name.json [WORKLOAD[=PAIRS] ...]
 
 Each commit is unpacked with ``git archive`` into its own tree in a
 temporary directory.  For each workload (all of ``BENCHMARK.json`` by
 default) it runs ``bench/run.py --trace 0`` for the benchmark's
 ``run_seconds`` on both trees in PAIRS pairs (10 by default): pair ``p``
-uses seed ``p + 1`` on both sides, and the side that runs first
-alternates, the parent first in even pairs.  The runs are one at a
+uses seed ``N + p`` on both sides, and the side that runs first
+alternates, the parent first in even pairs.  ``N`` defaults to a number
+read from the change's commit hash, so each change is measured on its
+own inputs.  The runs are one at a
 time.  The output file holds both commits, the command line, every
 end-to-end metric of every run, the failed and attempted operations of
 each side, and per metric the medians and quartiles of each side, the
 ratio of the medians, the pairs the change won (ties count for neither
 side), whether the change's median is within the metric's
-``BENCHMARK.json`` bound, and whether it wins at least nine tenths of
-the pairs by more than the parent's interquartile range.  Standard
+``BENCHMARK.json`` bound, and whether it is a gain: at least ten pairs,
+no larger share of failed operations than the parent's, and a change
+median that is better, wins at least nine tenths of the pairs and
+differs from the parent's by more than the parent's interquartile
+range.  Standard
 library only.
 """
 
@@ -33,6 +38,7 @@ from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_GAIN_PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -73,6 +79,11 @@ def spread(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3}
 
 
+def failed_share(runs: list[dict], side: str) -> float:
+    attempted = sum(run[side]["attempted"] for run in runs)
+    return sum(run[side]["failed"] for run in runs) / attempted if attempted else 0.0
+
+
 def summary(metric: dict, runs: list[dict]) -> dict:
     name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
     parent = [run["parent"][name] for run in runs]
@@ -91,8 +102,9 @@ def summary(metric: dict, runs: list[dict]) -> dict:
         "pairs_won": won,
         "pairs": len(runs),
         "within_bound": c["median"] >= limit if higher else c["median"] <= limit,
-        "gain": better and won >= 0.9 * len(runs)
-        and abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
+        "gain": len(runs) >= MIN_GAIN_PAIRS and better and won >= 0.9 * len(runs)
+        and abs(c["median"] - p["median"]) > p["q3"] - p["q1"]
+        and failed_share(runs, "change") <= failed_share(runs, "parent"),
     }
 
 
@@ -103,6 +115,8 @@ def main(argv: list[str] | None = None) -> None:
                         default=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
     parser.add_argument("--change", default="HEAD", help="git ref of the change (HEAD)")
+    parser.add_argument("--seed", type=int,
+                        help="seed of the first pair (read from the change's commit hash)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -115,6 +129,7 @@ def main(argv: list[str] | None = None) -> None:
         plan.append((name, int(pairs) if pairs else 10))
     commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}")
                for side, ref in (("parent", args.parent), ("change", args.change))}
+    base_seed = int(commits["change"][:6], 16) if args.seed is None else args.seed
     same_bench = not subprocess.run(
         ["git", "diff", "--quiet", commits["parent"], commits["change"], "--",
          "bench", "BENCHMARK.json"], cwd=ROOT).returncode
@@ -126,7 +141,7 @@ def main(argv: list[str] | None = None) -> None:
         for name, pairs in plan:
             runs = []
             for p in range(pairs):
-                seed = p + 1
+                seed = base_seed + p
                 order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
@@ -148,6 +163,7 @@ def main(argv: list[str] | None = None) -> None:
         "command": shlex.join(["python3", "tools/ab.py", *(argv if argv is not None else sys.argv[1:])]),
         "bench_command": "python3 bench/run.py --workload W --seed S "
                          f"--seconds {seconds} --trace 0",
+        "first_seed": base_seed,
         "same_benchmark": same_bench,
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus, Python {platform.python_version()}",
         "workloads": workloads,
