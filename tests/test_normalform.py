@@ -326,6 +326,64 @@ class TestLongShapes:
         assert _traces_sha256(p.values[0] for p in LONG_SHAPES) == LONG_SHAPES_TRACES_SHA256
 
 
+def concord_singles(pairs: int, seed: int) -> Word:
+    """``pairs`` concord pairs and ``2 * pairs // 3`` single letters, so
+    that about one letter in four is single, each with a random flag,
+    shuffled; deterministic in ``seed``."""
+    rng = random.Random(seed)
+    letters = []
+    for k in range(pairs):
+        letters += [SignedLetter(f"c{k}", rng.random() < 0.5)] * 2
+    letters += [SignedLetter(f"x{k}", rng.random() < 0.5) for k in range(2 * pairs // 3)]
+    rng.shuffle(letters)
+    return Word(tuple(letters))
+
+
+def wrapped_random(pairs: int, before: int, after: int, seed: int) -> Word:
+    """``before`` single letters, then ``o w o`` with ``w`` ``pairs``
+    pairs of independent flags and ``pairs // 8`` single letters,
+    shuffled, then ``after`` single letters, every single of either flag;
+    deterministic in ``seed``.  The first fold takes all of ``w``, and
+    the rest of the word holds only single letters."""
+    rng = random.Random(seed)
+    singles = iter(SignedLetter(f"x{k}", rng.random() < 0.5) for k in range(pairs + before + after))
+    inner = [SignedLetter(f"p{k // 2}", rng.random() < 0.5) for k in range(2 * pairs)]
+    inner += [next(singles) for _ in range(pairs // 8)]
+    rng.shuffle(inner)
+    outer = SignedLetter("o", rng.random() < 0.5)
+    letters = [next(singles) for _ in range(before)] + [outer] + inner + [outer]
+    return Word(tuple(letters + [next(singles) for _ in range(after)]))
+
+
+# Crosscap stages that LONG_WORDS barely reaches: many pairs that change
+# character at each fold (family_iv), concord pairs among many single
+# letters of either flag, and a first fold over most of the word whose
+# rest holds only single letters.
+CROSSCAP_SHAPES = [
+    pytest.param(family_iv(n), id=f"family_iv({n})") for n in (150, 400)
+] + [
+    pytest.param(concord_singles(p, p), id=f"concord_singles({p})") for p in (120, 300)
+] + [
+    pytest.param(wrapped_random(200, b, a, 10 * b + a), id=f"wrapped_random(200,{b},{a})")
+    for b, a in ((0, 3), (3, 0), (2, 2))
+]
+# sha256 over the traces of CROSSCAP_SHAPES, computed with the normalizer
+# that built a code -> last position table on every crosscap step.
+CROSSCAP_SHAPES_TRACES_SHA256 = "006635852c555ea4eee75fd7bc27b040bb3db680ab21bafec7deab2bc4f0511b"
+
+
+class TestCrosscapShapes:
+    @pytest.mark.parametrize("word", CROSSCAP_SHAPES)
+    def test_agrees_with_the_oracle_and_replays(self, word):
+        form, trace = normalize(word)
+        assert form == classify_by_invariants(word)
+        assert replay(word, Trace.from_json(trace.to_json())) == trace.final_word()
+
+    def test_crosscap_shape_traces_are_pinned(self):
+        digest = _traces_sha256(p.values[0] for p in CROSSCAP_SHAPES)
+        assert digest == CROSSCAP_SHAPES_TRACES_SHA256
+
+
 def _reference_handle_site(cur):
     """The reference for ``_handle_site``: ``(a1, b1, a2, b2)`` or None,
     found from a table of the partner position of every letter."""
