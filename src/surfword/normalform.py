@@ -21,8 +21,11 @@ The stages work on one coded word, not on :class:`Word` values: each
 step finds a rule's site with a search that stops as soon as the site
 is fixed and reads at most one O(n) pass (the handle stage adds one set
 over the first pair's arc), applies that rule's own edit from
-:mod:`surfword.rewrite` there (O(n) too), and records the rule.
-The returned :class:`Trace` keeps those moves with the initial and final
+:mod:`surfword.rewrite` there (O(n) too), and records the rule.  The
+crosscap stage keeps the set of concord labels: a fold toggles its
+straddlers, the pairs with one end in its run, read from the shorter of
+the run and the rest, and the fold and its hive are one splice.  The
+returned :class:`Trace` keeps those moves with the initial and final
 words and builds the words between on demand, so :func:`classify` and
 :func:`equivalent` never build them.  ``surfword batch`` runs the stages
 on the codes it reads from each line and builds no word and no trace.
@@ -34,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
-from .rewrite import Trace, _Coded, _fold, _glue, _interleave, _remove
+from .rewrite import Trace, _Coded, _glue, _interleave, _inverse, _remove
 from .words import SignedLetter, Word
 
 __all__ = [
@@ -103,16 +106,6 @@ class NormalForm:
 
     def __str__(self) -> str:
         return self.describe()
-
-
-def _crosscap_site(cur: list[int]) -> tuple[int, int] | None:
-    """Stored positions of the first code that occurs twice: a concord pair."""
-    last = dict(zip(cur, range(len(cur))))
-    if len(last) == len(cur):
-        return None
-    for i, code in enumerate(cur):
-        if last[code] > i:
-            return i, last[code]
 
 
 def _handle_site(cur: list[int], single: set[int]) -> tuple[int, int, int, int] | None:
@@ -242,35 +235,48 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
     """The three stages of :func:`normalize` on ``coded``, which they
     edit down to the residual word: the normal form and the moves.
 
-    Each step finds its site in the letter codes ``2 * id + inverted``
-    and stops once it is fixed: the crosscap stage builds one code ->
-    last position table and stops at the first code that occurs again; the
-    handle stage, with no concord pair left, reads a pair's other
-    occurrence as the inverse code, takes its single letters, which it
-    never moves, once, and tries the first pair before a stack scan that
-    stops when no earlier pair is open; the boundary stage keeps the set
-    of single codes through the stage, finds a glue in one flag per
-    position and stops its hole scan at the first pair-free arc.  It
-    applies the rule's own edit there, unchecked, and records ``(rule,
-    params)``.  A ``fold_concord`` or ``interleave_to_handle`` that would
-    return its input is not recorded.
+    Each step finds its site in the letter codes ``2 * id + inverted``,
+    stops once it is fixed, applies the rule's own edit there, unchecked,
+    and records ``(rule, params)``, but not a ``fold_concord`` or
+    ``interleave_to_handle`` that would return its input.  The crosscap
+    stage keeps the set of concord labels and takes the first letter with
+    one; a fold toggles the straddlers, the labels seen once on the
+    shorter of its run and the rest, less the singles, and its hive is
+    the same splice.  The handle stage, with no concord pair left, reads
+    a pair's other occurrence as the inverse code and tries the first
+    pair before a stack scan that stops when no earlier pair is open.
+    The boundary stage keeps the set of single codes, finds a glue in one
+    flag per position and stops its hole scan at the first pair-free arc.
     """
     codes, names = coded.codes, coded.names
     moves: list[tuple[str, dict]] = []
 
+    # a concord pair's code occurs twice, a single letter's label once
+    seen: set[int] = set()
+    concord = {code >> 1 for code in codes if code in seen or seen.add(code)}
+    once = {code >> 1 for code in seen if code ^ 1 not in seen} - concord
     crosscaps = 0
-    while (site := _crosscap_site(codes)) is not None:
-        i, j = site
-        if j > i + 1 or codes[i] & 1:
-            moves.append(("fold_concord", {"label": names[codes[i] >> 1]}))
+    while concord:
+        for i, code in enumerate(codes):
+            if code >> 1 in concord:
+                break
+        j = codes.index(code, i + 1)
+        if j > i + 1 or code & 1:
+            moves.append(("fold_concord", {"label": names[code >> 1]}))
         moves.append(("hive_crosscap", {"pos": j - 1}))
-        _fold(codes, i, j)
-        _remove(codes, j - 1, j)
+        run = codes[i + 1 : j]
+        odd = {code >> 1}
+        for other in run if 2 * len(run) < len(codes) else chain(codes[:i], codes[j + 1 :]):
+            if (label := other >> 1) in odd:
+                odd.remove(label)
+            else:
+                odd.add(label)
+        concord ^= odd - once
+        codes[i : j + 1] = _inverse(run)  # fold_concord, then hive_crosscap
         crosscaps += 1
 
     handles = 0
-    present = set(codes)
-    single = {code for code in present if code ^ 1 not in present}
+    single = {code for code in codes if code >> 1 in once}
     while (site := _handle_site(codes, single)) is not None:
         a1, b1, a2, b2 = site
         if site != (0, 1, 2, 3):
@@ -278,7 +284,7 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
             moves.append(("interleave_to_handle", {"a": a, "b": b}))
         moves.append(("hive_handle", {"pos": 0}))
         _interleave(codes, a1, b1, a2, b2)
-        _remove(codes, 0, 1, 2, 3)
+        del codes[:4]
         handles += 1
 
     # no pair becomes single: a glue swaps its two codes for the new one,
@@ -307,12 +313,10 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
             holes += 1
 
     if crosscaps:
-        form = NormalForm("nonorientable", crosscaps + 2 * handles, holes)
-    elif handles:
-        form = NormalForm("orientable", handles, holes)
-    else:
-        form = NormalForm("sphere", 0, holes)
-    return form, moves
+        return NormalForm("nonorientable", crosscaps + 2 * handles, holes), moves
+    if handles:
+        return NormalForm("orientable", handles, holes), moves
+    return NormalForm("sphere", 0, holes), moves
 
 
 def classify(word: Word) -> NormalForm:

@@ -29,8 +29,8 @@ from surfword import (
 )
 
 from surfword.invariants import _partners
-from surfword.normalform import _glue_site, _handle_site, _hole_site
-from surfword.rewrite import _Coded, _glue, _interleave, _remove
+from surfword.normalform import _glue_site, _handle_site, _hole_site, _stages
+from surfword.rewrite import _Coded, _fold, _glue, _interleave, _remove
 
 from conftest import words
 
@@ -440,6 +440,62 @@ def test_handle_site_matches_the_partner_table_search(word):
         _interleave(codes, *site)
         _remove(codes, 0, 1, 2, 3)
     raise AssertionError((codes, site, _reference_handle_site(codes)))
+
+
+def _reference_crosscap_site(cur):
+    """The reference for the crosscap stage's site: stored positions of
+    the first code that occurs twice, found from a table of the last
+    position of every code."""
+    last = dict(zip(cur, range(len(cur))))
+    if len(last) == len(cur):
+        return None
+    for i, code in enumerate(cur):
+        if last[code] > i:
+            return i, last[code]
+
+
+@st.composite
+def concord_codes(draw):
+    """Letter codes of a word with many concord pairs: pairs of drawn
+    character and flags and single letters of either flag, in a drawn
+    order, wrapped with a drawn chance in one outer concord pair with 0
+    to 3 single letters before and after it, so that the first fold runs
+    over most of the word and the rest holds only single letters."""
+    pairs, singles = draw(st.integers(1, 16)), draw(st.integers(0, 8))
+    concord = draw(st.integers(0, pairs))
+    codes = []
+    for k in range(pairs):
+        flag = draw(st.booleans())
+        codes += [2 * k + flag, 2 * k + (flag if k < concord else not flag)]
+    codes += [2 * (pairs + k) + draw(st.booleans()) for k in range(singles)]
+    codes = draw(st.permutations(codes))
+    if draw(st.booleans()):
+        # up to three singles before and after, and the outer pair's code
+        more = [2 * (pairs + singles + k) + draw(st.booleans()) for k in range(7)]
+        before, after = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        codes = more[:before] + [more[6]] + codes + [more[6]] + more[3 : 3 + after]
+    return codes
+
+
+@given(concord_codes())
+@settings(max_examples=300, deadline=None)
+def test_crosscap_stage_matches_the_table_search(codes):
+    names = [name for name, _ in zip(label_sequence(), range(100))]
+    # the crosscap stage with a table of last positions on every step,
+    # then the later stages on the word it leaves
+    cur, moves = codes[:], []
+    while (site := _reference_crosscap_site(cur)) is not None:
+        i, j = site
+        if j > i + 1 or cur[i] & 1:
+            moves.append(("fold_concord", {"label": names[cur[i] >> 1]}))
+        moves.append(("hive_crosscap", {"pos": j - 1}))
+        _fold(cur, i, j)
+        _remove(cur, j - 1, j)
+    reference = _Coded(cur, names[:], {})
+    moves += _stages(reference)[1]
+    coded = _Coded(codes, names[:], {})
+    assert _stages(coded)[1] == moves
+    assert coded.codes == reference.codes
 
 
 def _reference_glue_site(partner):
