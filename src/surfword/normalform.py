@@ -313,10 +313,12 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
             holes += 1
 
     if crosscaps:
-        return NormalForm("nonorientable", crosscaps + 2 * handles, holes), moves
-    if handles:
-        return NormalForm("orientable", handles, holes), moves
-    return NormalForm("sphere", 0, holes), moves
+        form = NormalForm("nonorientable", crosscaps + 2 * handles, holes)
+    elif handles:
+        form = NormalForm("orientable", handles, holes)
+    else:
+        form = NormalForm("sphere", 0, holes)
+    return form, moves
 
 
 def classify(word: Word) -> NormalForm:

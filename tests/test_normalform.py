@@ -315,17 +315,6 @@ LONG_SHAPES = [
 LONG_SHAPES_TRACES_SHA256 = "fa71da0afb04a90e78e1af1e9867d1a2374c05b7df18b102bae72fe6dfdf6bb3"
 
 
-class TestLongShapes:
-    @pytest.mark.parametrize("word", LONG_SHAPES)
-    def test_agrees_with_the_oracle_and_replays(self, word):
-        form, trace = normalize(word)
-        assert form == classify_by_invariants(word)
-        assert replay(word, Trace.from_json(trace.to_json())) == trace.final_word()
-
-    def test_long_shape_traces_are_pinned(self):
-        assert _traces_sha256(p.values[0] for p in LONG_SHAPES) == LONG_SHAPES_TRACES_SHA256
-
-
 def concord_singles(pairs: int, seed: int) -> Word:
     """``pairs`` concord pairs and ``2 * pairs // 3`` single letters, so
     that about one letter in four is single, each with a random flag,
@@ -372,12 +361,15 @@ CROSSCAP_SHAPES = [
 CROSSCAP_SHAPES_TRACES_SHA256 = "006635852c555ea4eee75fd7bc27b040bb3db680ab21bafec7deab2bc4f0511b"
 
 
-class TestCrosscapShapes:
-    @pytest.mark.parametrize("word", CROSSCAP_SHAPES)
+class TestLongShapes:
+    @pytest.mark.parametrize("word", LONG_SHAPES + CROSSCAP_SHAPES)
     def test_agrees_with_the_oracle_and_replays(self, word):
         form, trace = normalize(word)
         assert form == classify_by_invariants(word)
         assert replay(word, Trace.from_json(trace.to_json())) == trace.final_word()
+
+    def test_long_shape_traces_are_pinned(self):
+        assert _traces_sha256(p.values[0] for p in LONG_SHAPES) == LONG_SHAPES_TRACES_SHA256
 
     def test_crosscap_shape_traces_are_pinned(self):
         digest = _traces_sha256(p.values[0] for p in CROSSCAP_SHAPES)
