@@ -17,18 +17,18 @@ genus ``p + 2t`` when ``p > 0``, the orientable genus ``t`` when
 ``p == 0 < t``, and the sphere otherwise.  Boundary components equal
 the tallied holes.
 
-The stages work on one coded word, not on :class:`Word` values: each
-step finds a rule's site with a search that stops as soon as the site
-is fixed and reads at most one O(n) pass (the handle stage adds one set
-over the first pair's arc), applies that rule's own edit from
+The stages work on one coded word, not on :class:`Word` values: each step
+finds a rule's site with a search that stops as soon as the site is fixed
+and reads at most one O(n) pass (the handle stage adds one set over the
+first pair's arc), applies that rule's own edit from
 :mod:`surfword.rewrite` there (O(n) too), and records the rule.  The
-crosscap stage keeps the set of concord labels: a fold toggles its
-straddlers, the pairs with one end in its run, read from the shorter of
-the run and the rest, and the fold and its hive are one splice.  The
-returned :class:`Trace` keeps those moves with the initial and final
-words and builds the words between on demand, so :func:`classify` and
-:func:`equivalent` never build them.  ``surfword batch`` runs the stages
-on the codes it reads from each line and builds no word and no trace.
+crosscap stage keeps the concord labels and the word's reverse-and-flip: a
+fold toggles its straddlers, the pairs with one end in its run, read from
+the shorter of the run and the rest, and it and its hive are two slice
+copies.  The returned :class:`Trace` keeps those moves with the initial and
+final words and builds the words between on demand, so :func:`classify` and
+:func:`equivalent` never build them.  ``surfword batch`` runs the stages on
+the codes it reads from each line and builds no word and no trace.
 """
 
 from __future__ import annotations
@@ -235,16 +235,16 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
     """The three stages of :func:`normalize` on ``coded``, which they
     edit down to the residual word: the normal form and the moves.
 
-    Each step finds its site in the letter codes ``2 * id + inverted``,
-    stops once it is fixed, applies the rule's own edit there, unchecked,
-    and records ``(rule, params)``, but not a ``fold_concord`` or
-    ``interleave_to_handle`` that would return its input.  The crosscap
-    stage keeps the set of concord labels and takes the first letter with
-    one; a fold toggles the straddlers, the labels seen once on the
-    shorter of its run and the rest, less the singles, and its hive is
-    the same splice.  The handle stage, with no concord pair left, reads
-    a pair's other occurrence as the inverse code and tries the first
-    pair before a stack scan that stops when no earlier pair is open.
+    Each step finds its site in the letter codes ``2 * id + inverted``, stops
+    once it is fixed, applies the rule's own edit there, unchecked, and
+    records ``(rule, params)``, but not a ``fold_concord`` or
+    ``interleave_to_handle`` that would return its input.  The crosscap stage
+    keeps the concord labels and the word's reverse-and-flip and takes the
+    first letter with one; a fold toggles the straddlers, the labels seen
+    once on the shorter of its run and the rest, less the singles, and it and
+    its hive are two slice copies.  The handle stage, with no concord pair
+    left, reads a pair's other occurrence as the inverse code and tries the
+    first pair before a stack scan that stops when no earlier pair is open.
     The boundary stage keeps the set of single codes, finds a glue in one
     flag per position and stops its hole scan at the first pair-free arc.
     """
@@ -256,6 +256,7 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
     concord = {code >> 1 for code in codes if code in seen or seen.add(code)}
     once = {code >> 1 for code in seen if code ^ 1 not in seen} - concord
     crosscaps = 0
+    flipped = _inverse(codes)  # flipped[k] == codes[-1 - k] ^ 1 through the stage
     while concord:
         for i, code in enumerate(codes):
             if code >> 1 in concord:
@@ -264,15 +265,17 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
         if j > i + 1 or code & 1:
             moves.append(("fold_concord", {"label": names[code >> 1]}))
         moves.append(("hive_crosscap", {"pos": j - 1}))
+        n = len(codes)
         run = codes[i + 1 : j]
         odd = {code >> 1}
-        for other in run if 2 * len(run) < len(codes) else chain(codes[:i], codes[j + 1 :]):
+        for other in run if 2 * len(run) < n else chain(codes[:i], codes[j + 1 :]):
             if (label := other >> 1) in odd:
                 odd.remove(label)
             else:
                 odd.add(label)
         concord ^= odd - once
-        codes[i : j + 1] = _inverse(run)  # fold_concord, then hive_crosscap
+        codes[i : j + 1] = flipped[n - j : n - 1 - i]  # fold_concord, then hive_crosscap
+        flipped[n - 1 - j : n - i] = run  # the reverse-and-flip of ov(run)
         crosscaps += 1
 
     handles = 0

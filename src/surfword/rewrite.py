@@ -289,7 +289,7 @@ def _interleave(codes: list[int], a1: int, b_in: int, a2: int, b_out: int) -> No
         delta, tail = codes[a2 + 1 : b_out], codes[b_out + 1 :] + codes[:a1]
     else:
         delta, tail = codes[a2 + 1 :] + codes[:b_out], codes[b_out + 1 : a1]
-    codes[:] = [x, y, x ^ 1, y ^ 1] + tail + delta + gamma + beta
+    codes[:] = [x, y, x ^ 1, y ^ 1, *tail, *delta, *gamma, *beta]
 
 
 def _interleave_to_handle(coded: _Coded, a: str, b: str) -> None:

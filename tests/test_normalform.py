@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surfword.rewrite
@@ -470,6 +470,17 @@ def concord_codes(draw):
 
 
 @given(concord_codes())
+# edge cases of the kept reverse-and-flip's slice arithmetic, in codes
+# 2 * id + inverted: a a; a' a'; b c a d a, a site behind two singles;
+# a b c b d a, a pair at 0 and n - 1 with nothing outside it; b a c d e b f
+# c, a run longer than the rest, whose straddler c the toggle reads from
+# the rest; a b b a, which folds to b' b' and leaves the empty word
+@example([0, 0])
+@example([1, 1])
+@example([2, 4, 0, 6, 0])
+@example([0, 2, 4, 2, 6, 0])
+@example([2, 0, 4, 6, 8, 2, 10, 4])
+@example([0, 2, 2, 0])
 @settings(max_examples=300, deadline=None)
 def test_crosscap_stage_matches_the_table_search(codes):
     names = [name for name, _ in zip(label_sequence(), range(100))]
