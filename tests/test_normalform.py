@@ -470,17 +470,13 @@ def concord_codes(draw):
 
 
 @given(concord_codes())
-# edge cases of the kept reverse-and-flip's slice arithmetic, in codes
-# 2 * id + inverted: a a; a' a'; b c a d a, a site behind two singles;
-# a b c b d a, a pair at 0 and n - 1 with nothing outside it; b a c d e b f
-# c, a run longer than the rest, whose straddler c the toggle reads from
-# the rest; a b b a, which folds to b' b' and leaves the empty word
-@example([0, 0])
-@example([1, 1])
-@example([2, 4, 0, 6, 0])
-@example([0, 2, 4, 2, 6, 0])
-@example([2, 0, 4, 6, 8, 2, 10, 4])
-@example([0, 2, 2, 0])
+# edge cases of the kept reverse-and-flip's slice arithmetic
+@example([0, 0])  # a a
+@example([1, 1])  # a' a'
+@example([2, 4, 0, 6, 0])  # b c a d a: a site behind two singles
+@example([0, 2, 4, 2, 6, 0])  # a b c b d a: a pair at 0 and n - 1, nothing outside it
+@example([2, 0, 4, 6, 8, 2, 10, 4])  # b a c d e b f c: the toggle reads c from the rest
+@example([0, 2, 2, 0])  # a b b a: folds to b' b', then leaves the empty word
 @settings(max_examples=300, deadline=None)
 def test_crosscap_stage_matches_the_table_search(codes):
     names = [name for name, _ in zip(label_sequence(), range(100))]
