@@ -304,11 +304,12 @@ class Word:
 
         The key is the least rotation of the word or of its inverse,
         whichever is smaller, with each letter read as ``(label,
-        inverted)``.  Up to relabelling, position ``k`` reads as ``(gap,
-        inverted)`` instead, where ``gap`` is the forward cyclic distance
-        from ``k`` to the other occurrence of its label, or 0 for a
-        single letter; rotating the word rotates these gaps, and
-        renaming labels leaves them alone.
+        inverted)``; a letter occurs at most twice, so that rotation
+        starts at one of the two places of the least letter.  Up to
+        relabelling, position ``k`` reads as ``(gap, inverted)`` instead,
+        where ``gap`` is the forward cyclic distance from ``k`` to the
+        other occurrence of its label, or 0 for a single letter; rotating
+        the word rotates these gaps, and renaming labels leaves them alone.
 
         >>> word = Word.parse("a b' c a' c")
         >>> word.canonical_key() == word.invert().rotate(2).canonical_key()
@@ -319,8 +320,6 @@ class Word:
         True
         """
         n = len(self.letters)
-        if n == 0:
-            return ()
         if up_to_relabel:
             first: dict[str, int] = {}
             gaps = [0] * n
@@ -330,10 +329,10 @@ class Word:
                     gaps[p], gaps[k] = k - p, n - k + p
             forward = [(g, letter.inverted) for g, letter in zip(gaps, self.letters)]
             backward = [((n - g) % n, not inv) for g, inv in reversed(forward)]
-        else:
-            forward = [(letter.label, letter.inverted) for letter in self.letters]
-            backward = [(label, not inv) for label, inv in reversed(forward)]
-        return min(_least_rotation(forward), _least_rotation(backward))
+            return min(_least_rotation(forward), _least_rotation(backward))
+        forward = [(letter.label, letter.inverted) for letter in self.letters]
+        backward = [(label, not inv) for label, inv in reversed(forward)]
+        return min(_least_paired_rotation(forward), _least_paired_rotation(backward))
 
     def cyclic_equal(self, other: "Word", up_to_relabel: bool = False) -> bool:
         """Equality up to rotation and inversion, optionally up to a
@@ -349,6 +348,17 @@ class Word:
         return self.canonical_key(up_to_relabel) == other.canonical_key(up_to_relabel)
 
 
+def _least_paired_rotation(seq: list | tuple) -> tuple:
+    """The least rotation of ``seq``, where no value occurs more than twice,
+    as a tuple: it starts with the least value, at one of its two places."""
+    seq = tuple(seq)
+    if not seq:
+        return seq
+    p = seq.index(least := min(seq))
+    q = seq.index(least, p + 1) if seq.count(least) > 1 else p
+    return min(seq[p:] + seq[:p], seq[q:] + seq[:q])
+
+
 def _least_rotation(seq: list) -> tuple:
     """The least rotation of ``seq`` as a tuple, by the two-pointer scan.
 
@@ -356,7 +366,7 @@ def _least_rotation(seq: list) -> tuple:
     their common prefix.  At the first difference the larger candidate
     is ruled out, and so is every start within ``k`` after it.  Every
     pass raises ``i + j + k``, so the scan makes fewer than
-    ``3 * len(seq)`` passes.
+    ``3 * len(seq)`` passes; only the relabel key, whose gaps repeat, uses it.
     """
     n = len(seq)
     doubled = seq + seq

@@ -56,3 +56,17 @@ def test_gain_needs_no_larger_share_of_failed_operations():
     assert ab.summary(HIGHER, runs(parent, change, failed=(1, 1)))["gain"]
     assert ab.summary(HIGHER, runs(parent, change, failed=(2, 1)))["gain"]
     assert not ab.summary(HIGHER, runs(parent, change, failed=(0, 1)))["gain"]
+
+
+def test_verdict_names_each_metric_outside_its_bound_and_each_gain():
+    parent = [100 + p for p in range(10)]
+    metrics = {
+        "words_per_s": ab.summary(HIGHER, runs(parent, [p * 1.4 for p in parent])),
+        "setup_s": ab.summary(LOWER, runs(parent, [p * 1.29 for p in parent])),
+        "latency_p50_ms": ab.summary(LOWER, runs(parent, parent)),
+    }
+    line = ab.verdict("orbit-closure", metrics)
+    assert line == ("orbit-closure: outside bound: setup_s 1.290x (0 of 10 pairs won); "
+                    "gain: words_per_s 1.400x (10 of 10 pairs won)")
+    calm = {"latency_p50_ms": metrics["latency_p50_ms"]}
+    assert ab.verdict("trace-replay", calm) == "trace-replay: every metric within its bound, no gain"

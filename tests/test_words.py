@@ -1,7 +1,9 @@
 """Word grammar, cyclic semantics, and the pairing table."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfword import (
@@ -18,7 +20,7 @@ from surfword import (
     random_word,
 )
 
-from surfword.words import _TOKENS_RE, _tokenize
+from surfword.words import _TOKENS_RE, _least_paired_rotation, _least_rotation, _tokenize
 
 from conftest import every_word_over_three_labels, relabeled, words
 
@@ -218,6 +220,66 @@ class TestCanonicalKey:
         flipped = Word((word[0].inverse(),) + word.letters[1:])
         for up_to_relabel in (False, True):
             assert flipped.canonical_key(up_to_relabel) != word.canonical_key(up_to_relabel)
+
+
+@st.composite
+def paired_values(draw):
+    """Int lists of 0 to 2,000 entries in which no value occurs more than
+    twice, as letter codes ``2 * label + inverted`` are: all concord (each
+    code twice), all discord (both codes of each label), with singles, or
+    a run followed by itself with its last pair of entries swapped, so
+    the two rotations at the least value share a long prefix."""
+    kind = draw(st.sampled_from(["concord", "discord", "singles", "repeat"]))
+    labels = draw(st.integers(0, 1000))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "repeat":
+        run = rng.sample(range(4 * labels), labels)
+        tail = run[-2:][::-1] if draw(st.booleans()) else run[-2:]
+        return run + run[:-2] + tail
+    if kind == "concord":
+        values = [code for label in range(labels) for code in [2 * label + rng.getrandbits(1)] * 2]
+    elif kind == "discord":
+        values = [code for label in range(labels) for code in (2 * label, 2 * label + 1)]
+    else:
+        values = []
+        for label in range(labels):
+            count = rng.choice((1, 2))
+            values += [2 * label + rng.getrandbits(1) for _ in range(count)]
+    rng.shuffle(values)
+    return values
+
+
+class TestLeastPairedRotation:
+    @given(paired_values())
+    @example([])
+    @example([4])
+    @example([0, 5, 0, 3])  # the second start of the least value wins
+    @example((3, 0, 5, 0))  # the orbit search passes tuples
+    @example([2, 0, 7, 0, 7])
+    @settings(max_examples=200)
+    def test_matches_the_two_pointer_scan(self, values):
+        assert _least_paired_rotation(values) == _least_rotation(values)
+
+
+def _reference_canonical_key(word):
+    """``Word.canonical_key()`` as the two-pointer scan gives it: the
+    lesser least rotation of the word's and its inversion's letters."""
+    forward = [(letter.label, letter.inverted) for letter in word.letters]
+    backward = [(label, not inv) for label, inv in reversed(forward)]
+    return min(_least_rotation(forward), _least_rotation(backward))
+
+
+@given(words(max_pairs=8, max_singles=3))
+@example(Word())
+@example(parse("a b a' b'"))
+@settings(max_examples=300)
+def test_canonical_key_matches_the_two_pointer_reference(word):
+    assert word.canonical_key() == _reference_canonical_key(word)
+
+
+def test_canonical_key_matches_the_two_pointer_reference_on_the_enumeration():
+    for word in every_word_over_three_labels():
+        assert word.canonical_key() == _reference_canonical_key(word), word.render()
 
 
 class TestPairing:

@@ -20,8 +20,9 @@ side), whether the change's median is within the metric's
 no larger share of failed operations than the parent's, and a change
 median that is better, wins at least nine tenths of the pairs and
 differs from the parent's by more than the parent's interquartile
-range.  Standard
-library only.
+range.  After the runs it prints one line per workload to stderr,
+naming each metric outside its bound and each gain.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -108,6 +109,17 @@ def summary(metric: dict, runs: list[dict]) -> dict:
     }
 
 
+def verdict(workload: str, metrics: dict) -> str:
+    """One line naming each metric outside its bound and each gain, with
+    its ratio of the medians and the pairs the change won."""
+    def item(name: str, m: dict) -> str:
+        ratio = "n/a" if m["ratio"] is None else f"{m['ratio']:.3f}x"
+        return f"{name} {ratio} ({m['pairs_won']} of {m['pairs']} pairs won)"
+    out = [f"outside bound: {item(n, m)}" for n, m in metrics.items() if not m["within_bound"]]
+    out += [f"gain: {item(n, m)}" for n, m in metrics.items() if m["gain"]]
+    return f"{workload}: {'; '.join(out) or 'every metric within its bound, no gain'}"
+
+
 def main(argv: list[str] | None = None) -> None:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -169,6 +181,8 @@ def main(argv: list[str] | None = None) -> None:
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
+    for name, workload in workloads.items():
+        print(verdict(name, workload["metrics"]), file=sys.stderr)
 
 
 if __name__ == "__main__":
