@@ -327,9 +327,9 @@ def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None 
     finite even unbounded.  ``Orbit.words`` holds one member per class,
     which may be any rotation or inversion of it; compare members with
     :meth:`Word.canonical_key` or ``in``.  The states are letter codes,
-    edited at the sites the search finds, without the rules' checks; a
-    neighbor is keyed unless its codes are an admitted state's, its
-    inversion's or its key.  Each member but ``word`` is decoded once.
+    edited at the sites the search finds, without the rules' checks, and
+    decoded once at the end.  ``admitted`` holds each state's codes, their
+    inversion and its key, so a neighbor found there is dropped unkeyed.
     """
     start = _Coded.encode(word)
     states = [tuple(start.codes)]

@@ -227,8 +227,8 @@ def paired_values(draw):
     """Int lists of 0 to 2,000 entries in which no value occurs more than
     twice, as letter codes ``2 * label + inverted`` are: all concord (each
     code twice), all discord (both codes of each label), with singles, or
-    a run followed by itself with its last pair of entries swapped, so
-    the two rotations at the least value share a long prefix."""
+    a run followed by itself, its last two entries swapped or not, so the
+    two rotations at the least value share a long prefix or are equal."""
     kind = draw(st.sampled_from(["concord", "discord", "singles", "repeat"]))
     labels = draw(st.integers(0, 1000))
     rng = random.Random(draw(st.integers(0, 2**32)))
