@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable
+from collections.abc import Iterable
 
 from .invariants import invariants_summary, random_word
 from .normalform import NormalForm, _stages, normalize

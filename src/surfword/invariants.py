@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .normalform import NormalForm
 from .rewrite import _block_size, _Coded, _fold, _interleave, _inverse, _remove, _slide, _transpose
-from .words import SignedLetter, Word, _least_paired_rotation, label_sequence
+from .words import SignedLetter, Word, _least_paired_rotation, _setfield, _Value, label_sequence
 
 __all__ = [
     "CornerComplex",
@@ -70,13 +69,15 @@ class _UnionFind:
         return sum(1 for x, p in enumerate(self._parent) if x == p)
 
 
-@dataclass(frozen=True, slots=True)
-class CornerComplex:
+class CornerComplex(_Value):
     """Vertex, edge and face counts of the identified polygon."""
 
-    vertices: int
-    edges: int
-    faces: int
+    __match_args__ = __slots__ = ("vertices", "edges", "faces")
+
+    def __init__(self, vertices: int, edges: int, faces: int) -> None:
+        _setfield(self, "vertices", vertices)
+        _setfield(self, "edges", edges)
+        _setfield(self, "faces", faces)
 
     @property
     def chi(self) -> int:
@@ -233,14 +234,16 @@ def random_word(pairs: int, singles: int, seed: int) -> Word:
     return Word(tuple(letters))
 
 
-@dataclass(frozen=True, slots=True)
-class Orbit:
+class Orbit(_Value):
     """A set of words closed under the rewrite rules, up to rotation and
     inversion; ``truncated`` is set when the state cap cut exploration
     short."""
 
-    words: frozenset[Word]
-    truncated: bool
+    __match_args__ = __slots__ = ("words", "truncated")
+
+    def __init__(self, words: frozenset[Word], truncated: bool) -> None:
+        _setfield(self, "words", words)
+        _setfield(self, "truncated", truncated)
 
     def __len__(self) -> int:
         return len(self.words)

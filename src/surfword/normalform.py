@@ -34,11 +34,10 @@ the codes it reads from each line and builds no word and no trace.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
 
 from .rewrite import Trace, _Coded, _glue, _interleave, _inverse, _remove
-from .words import SignedLetter, Word
+from .words import SignedLetter, Word, _setfield, _Value
 
 __all__ = [
     "NormalForm",
@@ -51,8 +50,7 @@ __all__ = [
 _KINDS = ("sphere", "orientable", "nonorientable")
 
 
-@dataclass(frozen=True, slots=True)
-class NormalForm:
+class NormalForm(_Value):
     """The classification of a compact surface.
 
     ``kind`` is ``"sphere"``, ``"orientable"`` or ``"nonorientable"``;
@@ -61,20 +59,21 @@ class NormalForm:
     exactly when their normal forms are equal.
     """
 
-    kind: str
-    genus: int
-    boundary: int
+    __match_args__ = __slots__ = ("kind", "genus", "boundary")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.boundary < 0:
+    def __init__(self, kind: str, genus: int, boundary: int) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        if boundary < 0:
             raise ValueError("boundary count cannot be negative")
-        if self.kind == "sphere":
-            if self.genus != 0:
+        if kind == "sphere":
+            if genus != 0:
                 raise ValueError("a sphere has genus 0")
-        elif self.genus < 1:
-            raise ValueError(f"an {self.kind} surface has genus at least 1")
+        elif genus < 1:
+            raise ValueError(f"an {kind} surface has genus at least 1")
+        _setfield(self, "kind", kind)
+        _setfield(self, "genus", genus)
+        _setfield(self, "boundary", boundary)
 
     @property
     def chi(self) -> int:

@@ -26,10 +26,9 @@ is written to JSON from the codes, without them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .words import CONCORD, DISCORD, SignedLetter, Word, label_sequence
+from .words import CONCORD, DISCORD, SignedLetter, Word, _setfield, _Value, label_sequence
 from .words import _check_multiplicity, _checked_letter, _checked_word, _parse_shared
 
 __all__ = [
@@ -92,12 +91,14 @@ class _Coded:
 
     def decode(self) -> Word:
         """The word the codes stand for; a letter is made only for a code
-        that has none yet."""
-        letters = self.letters
-        if len(letters) < 2 * len(self.names):  # some code has no letter yet
-            for code in set(self.codes).difference(letters):
-                letters[code] = _checked_letter(self.names[code >> 1], bool(code & 1))
-        return _checked_word(tuple(map(letters.__getitem__, self.codes)))
+        that has none yet, and the codes are scanned for those only when
+        one is missing."""
+        try:
+            return _checked_word(tuple(map(self.letters.__getitem__, self.codes)))
+        except KeyError:
+            for code in set(self.codes).difference(self.letters):
+                self.letters[code] = _checked_letter(self.names[code >> 1], bool(code & 1))
+        return _checked_word(tuple(map(self.letters.__getitem__, self.codes)))
 
 
 def _on_word(rule, word: Word, *args) -> Word:
@@ -465,8 +466,7 @@ def apply_step(word: Word, rule: str, params: dict | None = None) -> Word:
 _STEP_KEYS = {"rule", "params", "before", "after"}
 
 
-@dataclass(frozen=True, eq=True)
-class RewriteStep:
+class RewriteStep(_Value):
     """One recorded rule application.
 
     The step is self-checking: applying ``rule`` with ``params`` to
@@ -474,10 +474,13 @@ class RewriteStep:
     verifies.
     """
 
-    rule: str
-    params: dict
-    before: Word
-    after: Word
+    __match_args__ = __slots__ = ("rule", "params", "before", "after")
+
+    def __init__(self, rule: str, params: dict, before: Word, after: Word) -> None:
+        _setfield(self, "rule", rule)
+        _setfield(self, "params", params)
+        _setfield(self, "before", before)
+        _setfield(self, "after", after)
 
     def to_dict(self) -> dict:
         return Trace([self]).to_list()[0]
@@ -671,9 +674,12 @@ def replay(word: Word, trace: Trace) -> Word:
 
     ``word`` is encoded once and each step edits its codes.  Once a
     step's result is checked equal to its recorded ``after``, replay
-    continues from that recorded word and decodes later results to its
-    letters: the words of a parsed trace share their letters, so later
-    comparisons mostly meet the same objects.
+    continues from that recorded word.  Its codes are mapped to its
+    letters, so that later results decode to them, after the first step
+    and after each step whose decoding had to make a letter (the new
+    label of a glue, or the other orientation of a code that a fold or
+    an inversion brings in).  The words of a parsed trace share their
+    letters, so later comparisons mostly meet the same objects.
     """
     coded = _Coded.encode(word)
     current = word
@@ -686,6 +692,7 @@ def replay(word: Word, trace: Trace) -> Word:
             _apply(coded, step.rule, step.params)
         except NotApplicable as exc:
             raise ReplayMismatch(f"step {idx}: {step.rule} not applicable: {exc}") from exc
+        known = len(coded.letters)
         result = coded.decode()
         if result != step.after:
             raise ReplayMismatch(
@@ -693,5 +700,6 @@ def replay(word: Word, trace: Trace) -> Word:
                 f"recorded {step.after.render()!r}"
             )
         current = step.after
-        coded.letters.update(zip(coded.codes, current.letters))
+        if idx == 0 or len(coded.letters) > known:
+            coded.letters.update(zip(coded.codes, current.letters))
     return current

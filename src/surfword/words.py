@@ -32,10 +32,9 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from operator import attrgetter
 from string import ascii_lowercase
-from typing import Iterable, Iterator
 
 __all__ = [
     "CONCORD",
@@ -70,8 +69,48 @@ class MultiplicityError(ValueError):
     """Raised when some label occurs more than twice in a word."""
 
 
-@dataclass(frozen=True, slots=True)
-class SignedLetter:
+_setfield = object.__setattr__  # sets a field past the value's own ``__setattr__``
+
+
+class _Value:
+    """The base of the immutable value classes.
+
+    A subclass names its fields, in order, in ``__slots__`` and
+    ``__match_args__``, and its constructor checks its arguments and sets
+    each field with :func:`_setfield`.  Values are equal when their
+    classes are the same and their fields are equal in order, hash as the
+    tuple of their fields, show their fields by name in ``repr``, and
+    pickle and copy through the constructor.  Assigning or deleting a
+    field raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r} of an immutable value")
+
+    __delattr__ = __setattr__
+
+
+class SignedLetter(_Value):
     """An edge label together with a direction flag.
 
     ``inverted=True`` means the edge is traversed against its own
@@ -81,12 +120,21 @@ class SignedLetter:
     "a'"
     """
 
-    label: str
-    inverted: bool = False
+    __match_args__ = __slots__ = ("label", "inverted")
 
-    def __post_init__(self) -> None:
-        if not _NAME_RE.fullmatch(self.label):
-            raise WordSyntaxError(f"bad edge label {self.label!r}")
+    def __init__(self, label: str, inverted: bool = False) -> None:
+        if not _NAME_RE.fullmatch(label):
+            raise WordSyntaxError(f"bad edge label {label!r}")
+        _setfield(self, "label", label)
+        _setfield(self, "inverted", inverted)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SignedLetter:
+            return NotImplemented
+        return self.label == other.label and self.inverted == other.inverted
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.inverted))
 
     def inverse(self) -> "SignedLetter":
         return _checked_letter(self.label, not self.inverted)
@@ -102,8 +150,8 @@ def _checked_letter(label: str, inverted: bool) -> SignedLetter:
     """A letter whose label already matched :data:`_NAME_RE`, made
     without matching it again."""
     letter = object.__new__(SignedLetter)
-    object.__setattr__(letter, "label", label)
-    object.__setattr__(letter, "inverted", inverted)
+    _setfield(letter, "label", label)
+    _setfield(letter, "inverted", inverted)
     return letter
 
 
@@ -111,17 +159,19 @@ def _checked_word(letters: tuple[SignedLetter, ...]) -> "Word":
     """A word made from a tuple in which no label occurs more than
     twice, without counting the labels again."""
     word = object.__new__(Word)
-    object.__setattr__(word, "letters", letters)
+    _setfield(word, "letters", letters)
     return word
 
 
-@dataclass(frozen=True, slots=True)
-class PairEntry:
+class PairEntry(_Value):
     """Occurrence data for one label: positions and pairing character."""
 
-    label: str
-    positions: tuple[int, ...]
-    character: str
+    __match_args__ = __slots__ = ("label", "positions", "character")
+
+    def __init__(self, label: str, positions: tuple[int, ...], character: str) -> None:
+        _setfield(self, "label", label)
+        _setfield(self, "positions", positions)
+        _setfield(self, "character", character)
 
 
 class PairingTable:
@@ -213,8 +263,7 @@ def _tokenize(text: str) -> list[str]:
     return []  # no bad token: the text is blank, as ``\s`` is what ``split`` splits at
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(_Value):
     """An edge word: an immutable sequence of signed letters.
 
     Equality and hashing are elementwise on the stored sequence; use
@@ -228,11 +277,19 @@ class Word:
     True
     """
 
-    letters: tuple[SignedLetter, ...] = ()
+    __match_args__ = __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
+    def __init__(self, letters: Iterable[SignedLetter] = ()) -> None:
+        _setfield(self, "letters", tuple(letters))
         _check_multiplicity(map(attrgetter("label"), self.letters))
+
+    def __eq__(self, other: object) -> bool:
+        # a 1-tuple compares its item by identity first, so words that share
+        # one letter tuple, as the steps of a parsed trace do, compare in O(1)
+        return (self.letters,) == (other.letters,) if other.__class__ is Word else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     @classmethod
     def parse(cls, text: str) -> "Word":

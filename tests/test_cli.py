@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -248,6 +249,24 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "kind=orientable genus=1 boundary=0 chi=0\n"
+
+
+def test_importing_the_cli_loads_no_introspection_module():
+    # ``dataclasses`` would bring ``inspect``, ``ast``, ``dis`` and ``tokenize``
+    # into every process; -S keeps site's own imports out of the reading
+    script = (
+        "import sys, surfword.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def _reference_batch(lines, as_json):

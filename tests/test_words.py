@@ -1,5 +1,7 @@
 """Word grammar, cyclic semantics, and the pairing table."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -10,7 +12,12 @@ from surfword import (
     CONCORD,
     DISCORD,
     SINGLE,
+    CornerComplex,
     MultiplicityError,
+    NormalForm,
+    Orbit,
+    PairEntry,
+    RewriteStep,
     SignedLetter,
     Word,
     WordSyntaxError,
@@ -335,3 +342,54 @@ class TestLabels:
 
     def test_labels_in_first_occurrence_order(self):
         assert parse("c a b a'").labels() == ("c", "a", "b")
+
+
+# Each value class: keyword arguments for one value, and that value's repr.
+VALUES = [
+    (SignedLetter, {"label": "a1", "inverted": True}, "SignedLetter(label='a1', inverted=True)"),
+    (
+        PairEntry,
+        {"label": "b", "positions": (1, 3), "character": DISCORD},
+        "PairEntry(label='b', positions=(1, 3), character='discord')",
+    ),
+    (Word, {"letters": parse("a b a' b'").letters}, 'Word("a b a\' b\'")'),
+    (
+        RewriteStep,
+        {"rule": "cancel", "params": {"pos": 0}, "before": parse("a a' b"), "after": parse("b")},
+        "RewriteStep(rule='cancel', params={'pos': 0}, before=Word(\"a a' b\"), after=Word('b'))",
+    ),
+    (
+        NormalForm,
+        {"kind": "nonorientable", "genus": 2, "boundary": 1},
+        "NormalForm(kind='nonorientable', genus=2, boundary=1)",
+    ),
+    (
+        CornerComplex,
+        {"vertices": 1, "edges": 2, "faces": 1},
+        "CornerComplex(vertices=1, edges=2, faces=1)",
+    ),
+    (
+        Orbit,
+        {"words": frozenset([parse("a a")]), "truncated": False},
+        "Orbit(words=frozenset({Word('a a')}), truncated=False)",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_classes_are_immutable_picklable_values(cls, fields, text):
+    value = cls(**fields)
+    assert value == cls(*fields.values())
+    assert [getattr(value, name) for name in fields] == list(fields.values())
+    assert cls.__match_args__ == tuple(fields)
+    assert repr(value) == text
+    for other in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(other) is cls and other == value
+    if cls is not RewriteStep:  # its params are a dict
+        assert hash(pickle.loads(pickle.dumps(value))) == hash(value)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in fields] == list(fields.values())
