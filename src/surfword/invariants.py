@@ -15,7 +15,6 @@ generator, and a breadth-first orbit explorer over the rewrite rules.
 from __future__ import annotations
 
 import itertools
-import random
 from collections.abc import Iterator
 
 from .normalform import NormalForm
@@ -220,6 +219,8 @@ def random_word(pairs: int, singles: int, seed: int) -> Word:
     Paired occurrences get independent random inversion flags; single
     letters are upright; the whole sequence is shuffled.
     """
+    import random  # only here, so importing the package does not load it
+
     if pairs < 0 or singles < 0:
         raise ValueError("pairs and singles must be nonnegative")
     rng = random.Random(seed)
@@ -267,39 +268,48 @@ def _partners(cur: list[int]) -> list[int]:
 
 
 def _orbit_neighbors(forward: list[int]) -> Iterator[list[int]]:
-    """The codes of all words one rule application away from the word
-    with codes ``forward`` or from its inversion; none adds a label.
+    """The codes of the words one rule application away from the word
+    with codes ``forward``, up to rotation and inversion, without the
+    rule sites that return the word's own class; none adds a label.
 
     The search finds each rule's sites itself, from the partner table
     and the block sizes, and calls the rule's edit at each on a copy.
-    ``fold_concord`` and ``interleave_to_handle`` start from the first
-    stored occurrence of a label, so they run on the rotations that put
-    each occurrence first; the other rules read their sites cyclically.
-    In the seed-1 ``orbit-closure`` round 3,559 of the 14,570 neighbors
-    are the word itself or its inversion (the splits at either end of a
-    run, the slide to just after a block); :func:`bfs_orbit` skips them
-    with the other admitted codes before keying (8,721 skips, 5,849 keys).
+    ``cancel``, ``transpose_discord`` and ``slide_block`` read their
+    sites cyclically and commute with inversion: each neighbor they make
+    from the inversion is the reverse-and-flip of one they make from
+    ``forward``, so they run on ``forward`` alone.  They skip their
+    identity sites: the splits at either end of the run, which return the
+    word, and the slide to just after the block, which returns the word
+    or, when the block wraps the end, one of its rotations.
+    ``fold_concord`` writes its pair with positive flags and
+    ``interleave_to_handle`` reads from one occurrence of its pair, so
+    from the inversion they reach other words; they run on both sides,
+    on the rotations that put each occurrence first.  In the seed-1
+    ``orbit-closure`` round this lists 7,572 neighbors of its 572 states;
+    :func:`bfs_orbit` keys 4,188 of them and drops the rest unkeyed, as
+    admitted codes or on length.
     """
     n = len(forward)
     for codes in (forward, _inverse(forward)):
         pairs = [(i, j) for i, j in enumerate(_partners(codes)) if i < j]
         discords = [(i, j) for i, j in pairs if codes[i] != codes[j]]
-        for pos in range(n):
-            if codes[pos] ^ codes[(pos + 1) % n] == 1:
-                _remove(out := codes[:], pos, (pos + 1) % n)
-                yield out
-        for i, j in discords:
-            up, down = (j, i) if codes[i] & 1 else (i, j)
-            for split in range(n):  # the splits the rule accepts, in increasing order
-                if (offset := (split - up - 1) % n) < (down - up) % n:
-                    _transpose(out := codes[:], up, down, offset)
+        if codes is forward:
+            for pos in range(n):
+                if codes[pos] ^ codes[(pos + 1) % n] == 1:
+                    _remove(out := codes[:], pos, (pos + 1) % n)
                     yield out
-        for start in range(n):
-            if size := _block_size(codes, start):
-                for dest in range(n):
-                    if (dest - start) % n >= size:
-                        _slide(out := codes[:], start, size, dest)
+            for i, j in discords:
+                up, down = (j, i) if codes[i] & 1 else (i, j)
+                for split in range(n):  # the splits inside the run, in increasing order
+                    if 0 < (offset := (split - up - 1) % n) < (down - up - 1) % n:
+                        _transpose(out := codes[:], up, down, offset)
                         yield out
+            for start in range(n):
+                if size := _block_size(codes, start):
+                    for dest in range(n):
+                        if (dest - start) % n > size:
+                            _slide(out := codes[:], start, size, dest)
+                            yield out
         for i, j in pairs:
             if codes[i] == codes[j]:
                 for p, q in ((i, j), (j, i)):
@@ -333,6 +343,13 @@ def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None 
     edited at the sites the search finds, without the rules' checks, and
     decoded once at the end.  ``admitted`` holds each state's codes, their
     inversion and its key, so a neighbor found there is dropped unkeyed.
+    The rules that commute with inversion run on the state alone, and no
+    site that returns the state's own class is listed (see
+    :func:`_orbit_neighbors`).  Each site left out reaches the state's
+    own class or one listed before it, both already admitted or rejected,
+    and the cap is checked on new classes alone, so the members, their
+    order and ``truncated`` are those of a search over every site of the
+    state and of its inversion.
     """
     start = _Coded.encode(word)
     states = [tuple(start.codes)]

@@ -34,7 +34,6 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from operator import attrgetter
-from string import ascii_lowercase
 
 __all__ = [
     "CONCORD",
@@ -472,7 +471,7 @@ def label_sequence() -> Iterator[str]:
     """Yield ``a .. z, a1 .. z1, a2 ..``: the label naming sequence."""
     for suffix in itertools.count():
         tail = "" if suffix == 0 else str(suffix)
-        for ch in ascii_lowercase:
+        for ch in "abcdefghijklmnopqrstuvwxyz":
             yield ch + tail
 
 
