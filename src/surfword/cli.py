@@ -147,39 +147,38 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Classify compact surfaces presented as polygon edge words.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="emit JSON (batch: one per line)")
 
-    classify = sub.add_parser("classify", help="classify one word")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[json_flag], help=help)
+
+    classify = command("classify", "classify one word")
     classify.add_argument("word", help="edge word, e.g. \"a b a' b'\"")
-    classify.add_argument("--json", action="store_true", help="emit a JSON document")
     classify.add_argument("--trace", action="store_true", help="include the rewrite trace")
     classify.set_defaults(handler=_cmd_classify)
 
-    equiv = sub.add_parser("equiv", help="decide whether two words present the same surface")
+    equiv = command("equiv", "decide whether two words present the same surface")
     equiv.add_argument("first")
     equiv.add_argument("second")
-    equiv.add_argument("--json", action="store_true", help="emit a JSON document")
     equiv.set_defaults(handler=_cmd_equiv)
 
-    trace = sub.add_parser("trace", help="print the normalization trace of a word")
+    trace = command("trace", "print the normalization trace of a word")
     trace.add_argument("word")
-    trace.add_argument("--json", action="store_true", help="emit a JSON document")
     trace.set_defaults(handler=_cmd_classify, trace=True)
 
-    invariants = sub.add_parser("invariants", help="print independently computed invariants")
+    invariants = command("invariants", "print independently computed invariants")
     invariants.add_argument("word")
-    invariants.add_argument("--json", action="store_true", help="emit a JSON document")
     invariants.set_defaults(handler=_cmd_invariants)
 
-    gen = sub.add_parser("gen", help="generate a reproducible random word")
+    gen = command("gen", "generate a reproducible random word")
     gen.add_argument("--pairs", type=_nonnegative, default=3, help="paired labels (default 3)")
     gen.add_argument("--singles", type=_nonnegative, default=0, help="single letters (default 0)")
     gen.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    gen.add_argument("--json", action="store_true", help="emit a JSON document")
     gen.set_defaults(handler=_cmd_gen)
 
-    batch = sub.add_parser("batch", help="classify every word in a file, one per line")
+    batch = command("batch", "classify every word in a file, one per line")
     batch.add_argument("file", help="input path, or - for stdin; # starts a comment line")
-    batch.add_argument("--json", action="store_true", help="emit one JSON document per line")
     batch.set_defaults(handler=_cmd_batch)
 
     return parser

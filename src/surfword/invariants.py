@@ -19,7 +19,7 @@ from collections.abc import Iterator
 
 from .normalform import NormalForm
 from .rewrite import _block_size, _Coded, _fold, _interleave, _inverse, _remove, _slide, _transpose
-from .words import SignedLetter, Word, _least_paired_rotation, _setfield, _Value, label_sequence
+from .words import SignedLetter, Word, _least_paired_rotation, _Value, label_sequence
 
 __all__ = [
     "CornerComplex",
@@ -72,11 +72,6 @@ class CornerComplex(_Value):
     """Vertex, edge and face counts of the identified polygon."""
 
     __match_args__ = __slots__ = ("vertices", "edges", "faces")
-
-    def __init__(self, vertices: int, edges: int, faces: int) -> None:
-        _setfield(self, "vertices", vertices)
-        _setfield(self, "edges", edges)
-        _setfield(self, "faces", faces)
 
     @property
     def chi(self) -> int:
@@ -242,10 +237,6 @@ class Orbit(_Value):
 
     __match_args__ = __slots__ = ("words", "truncated")
 
-    def __init__(self, words: frozenset[Word], truncated: bool) -> None:
-        _setfield(self, "words", words)
-        _setfield(self, "truncated", truncated)
-
     def __len__(self) -> int:
         return len(self.words)
 
@@ -286,7 +277,7 @@ def _orbit_neighbors(forward: list[int]) -> Iterator[list[int]]:
     from the inversion they reach other words; they run on both sides,
     on the rotations that put each occurrence first.  In the seed-1
     ``orbit-closure`` round this lists 7,572 neighbors of its 572 states;
-    :func:`bfs_orbit` keys 4,188 of them and drops the rest unkeyed, as
+    :func:`bfs_orbit` keys 4,328 of them and drops the rest unkeyed, as
     admitted codes or on length.
     """
     n = len(forward)
@@ -341,8 +332,8 @@ def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None 
     which may be any rotation or inversion of it; compare members with
     :meth:`Word.canonical_key` or ``in``.  The states are letter codes,
     edited at the sites the search finds, without the rules' checks, and
-    decoded once at the end.  ``admitted`` holds each state's codes, their
-    inversion and its key, so a neighbor found there is dropped unkeyed.
+    decoded once at the end.  ``admitted`` holds each state's codes and its
+    key, so a neighbor with the codes of a state is dropped unkeyed.
     The rules that commute with inversion run on the state alone, and no
     site that returns the state's own class is listed (see
     :func:`_orbit_neighbors`).  Each site left out reaches the state's
@@ -353,7 +344,7 @@ def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None 
     """
     start = _Coded.encode(word)
     states = [tuple(start.codes)]
-    admitted = {states[0], tuple(_inverse(start.codes)), _key(states[0])}
+    admitted = {states[0], _key(states[0])}
     truncated = False
     for state in states:  # the list grows as the search admits states
         for neighbor in _orbit_neighbors(list(state)):
@@ -368,7 +359,7 @@ def bfs_orbit(word: Word, max_length: int | None = None, max_states: int | None 
             if max_states is not None and len(states) >= max_states:
                 truncated = True
                 break
-            admitted.update((codes, tuple(_inverse(codes)), key))
+            admitted.update((codes, key))
             states.append(codes)
         if truncated:
             break

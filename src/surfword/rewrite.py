@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 
-from .words import CONCORD, DISCORD, SignedLetter, Word, _setfield, _Value, label_sequence
+from .words import CONCORD, DISCORD, SignedLetter, Word, _Value, label_sequence
 from .words import _check_multiplicity, _checked_letter, _checked_word, _parse_shared
 
 __all__ = [
@@ -163,10 +163,10 @@ def cancel(word: Word, pos: int) -> Word:
 def _transpose(codes: list[int], up: int, down: int, offset: int) -> None:
     """The edit of ``transpose_discord``: rotate the cyclic run strictly
     between ``up`` and ``down`` left by ``offset``."""
-    _rotate(codes, up + 1)  # the run now starts at 0
+    _rotate_left(codes, up + 1)  # the run now starts at 0
     run = (down - up - 1) % len(codes)
     codes[:run] = codes[offset:run] + codes[:offset]
-    _rotate(codes, -up - 1)
+    _rotate_left(codes, -up - 1)
 
 
 def _transpose_discord(coded: _Coded, label: str, split: int) -> None:
@@ -316,18 +316,22 @@ def interleave_to_handle(word: Word, a: str, b: str) -> Word:
     return _on_word(_interleave_to_handle, word, a, b)
 
 
-def _rotate(codes: list[int], k: int) -> None:
+def _rotate_left(codes: list[int], k: int) -> None:
     if codes:
         k %= len(codes)
         codes[:] = codes[k:] + codes[:k]
+
+
+def _rotate(coded: _Coded, k: int) -> None:
+    _rotate_left(coded.codes, k)
 
 
 def _inverse(codes: list[int]) -> list[int]:
     return [code ^ 1 for code in reversed(codes)]
 
 
-def _invert(codes: list[int]) -> None:
-    codes[:] = _inverse(codes)
+def _invert(coded: _Coded) -> None:
+    coded.codes[:] = _inverse(coded.codes)
 
 
 def _glue(coded: _Coded, pos: int) -> None:
@@ -410,52 +414,49 @@ def hive_handle(word: Word, pos: int) -> Word:
     return _on_word(_hive_handle, word, pos)
 
 
-_APPLIERS = {
-    "cancel": lambda c, p: _cancel(c, int(p["pos"])),
-    "transpose_discord": lambda c, p: _transpose_discord(c, p["label"], int(p["split"])),
-    "fold_concord": lambda c, p: _fold_concord(c, p["label"]),
-    "slide_block": lambda c, p: _slide_block(c, int(p["block_start"]), int(p["dest"])),
-    "interleave_to_handle": lambda c, p: _interleave_to_handle(c, p["a"], p["b"]),
-    "rotate": lambda c, p: _rotate(c.codes, int(p["k"])),
-    "invert": lambda c, p: _invert(c.codes),
-    "glue_singles": lambda c, p: _glue_singles(c, int(p["pos"])),
-    "hive_hole": lambda c, p: _hive_hole(c, p["label"]),
-    "hive_crosscap": lambda c, p: _hive_crosscap(c, int(p["pos"])),
-    "hive_handle": lambda c, p: _hive_handle(c, int(p["pos"])),
+_RULES = {  # each rule's checked edit and the names of its parameters, in order
+    "cancel": (_cancel, ("pos",)),
+    "transpose_discord": (_transpose_discord, ("label", "split")),
+    "fold_concord": (_fold_concord, ("label",)),
+    "slide_block": (_slide_block, ("block_start", "dest")),
+    "interleave_to_handle": (_interleave_to_handle, ("a", "b")),
+    "rotate": (_rotate, ("k",)),
+    "invert": (_invert, ()),
+    "glue_singles": (_glue_singles, ("pos",)),
+    "hive_hole": (_hive_hole, ("label",)),
+    "hive_crosscap": (_hive_crosscap, ("pos",)),
+    "hive_handle": (_hive_handle, ("pos",)),
 }
 
 
 def _apply(coded: _Coded, rule: str, params: dict | None) -> None:
     """Apply ``rule`` with ``params`` to ``coded`` in place; the step
-    dispatcher on codes.  A parameter that is missing, or whose value
-    ``int`` rejects, raises :class:`NotApplicable` naming it."""
+    dispatcher on codes.
+
+    The rule's own parameters are read in the order of its ``_RULES``
+    entry, labels as given and the others with ``int``.  The first one
+    that is missing, or whose value ``int`` rejects, raises
+    :class:`NotApplicable` naming it; a parameter the rule does not read
+    is not checked, so a rule with none ignores ``params``.
+    """
     try:
-        applier = _APPLIERS[rule]
+        edit, names = _RULES[rule]
     except (KeyError, TypeError):  # TypeError: a rule name that cannot be hashed
         raise NotApplicable(f"unknown rule {rule!r}") from None
-    try:
-        applier(coded, params or {})
-    except NotApplicable:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if (reason := _bad_params(params, exc)) is None:
-            raise
-        raise NotApplicable(f"{rule}: {reason}") from None
-
-
-def _bad_params(params, exc: Exception) -> str | None:
-    """Which parameter ``_APPLIERS`` could not read, and why; None if
-    the parameters are not to blame for ``exc``."""
-    if not isinstance(params or {}, dict):
-        return f"parameters must be an object, not {type(params).__name__}"
-    if isinstance(exc, KeyError):
-        return f"missing parameter {exc.args[0]!r}"
-    for key in ("pos", "split", "block_start", "dest", "k"):  # the ones read with int()
+    params = params or {}
+    args = []
+    for name in names:
         try:
-            int(params.get(key, 0))
+            value = params[name]
+            args.append(value if name in ("label", "a", "b") else int(value))
+        except KeyError:
+            raise NotApplicable(f"{rule}: missing parameter {name!r}") from None
         except (TypeError, ValueError, OverflowError):
-            return f"parameter {key!r} is not an integer: {params[key]!r}"
-    return None
+            reason = f"parameters must be an object, not {type(params).__name__}"
+            if isinstance(params, dict):
+                reason = f"parameter {name!r} is not an integer: {value!r}"
+            raise NotApplicable(f"{rule}: {reason}") from None
+    edit(coded, *args)
 
 
 def apply_step(word: Word, rule: str, params: dict | None = None) -> Word:
@@ -475,12 +476,6 @@ class RewriteStep(_Value):
     """
 
     __match_args__ = __slots__ = ("rule", "params", "before", "after")
-
-    def __init__(self, rule: str, params: dict, before: Word, after: Word) -> None:
-        _setfield(self, "rule", rule)
-        _setfield(self, "params", params)
-        _setfield(self, "before", before)
-        _setfield(self, "after", after)
 
     def to_dict(self) -> dict:
         return Trace([self]).to_list()[0]

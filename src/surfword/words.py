@@ -75,15 +75,26 @@ class _Value:
     """The base of the immutable value classes.
 
     A subclass names its fields, in order, in ``__slots__`` and
-    ``__match_args__``, and its constructor checks its arguments and sets
-    each field with :func:`_setfield`.  Values are equal when their
-    classes are the same and their fields are equal in order, hash as the
-    tuple of their fields, show their fields by name in ``repr``, and
-    pickle and copy through the constructor.  Assigning or deleting a
-    field raises ``AttributeError``.
+    ``__match_args__``.  A subclass that checks its arguments writes its
+    own constructor, which sets each field with :func:`_setfield`; one
+    that checks nothing gets that constructor made from ``__slots__``,
+    with one positional-or-keyword parameter per field.  Values are equal
+    when their classes are the same and their fields are equal in order,
+    hash as the tuple of their fields, show their fields by name in
+    ``repr``, and pickle and copy through the constructor.  Assigning or
+    deleting a field raises ``AttributeError``.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if "__init__" not in cls.__dict__:
+            # the source of a hand-written constructor, so a value costs no more to make
+            sets = "".join(f"\n    _setfield(self, {name!r}, {name})" for name in cls.__slots__)
+            namespace = {"_setfield": _setfield, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(cls.__slots__)}):{sets}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -166,11 +177,6 @@ class PairEntry(_Value):
     """Occurrence data for one label: positions and pairing character."""
 
     __match_args__ = __slots__ = ("label", "positions", "character")
-
-    def __init__(self, label: str, positions: tuple[int, ...], character: str) -> None:
-        _setfield(self, "label", label)
-        _setfield(self, "positions", positions)
-        _setfield(self, "character", character)
 
 
 class PairingTable:

@@ -731,11 +731,22 @@ def test_rules_match_their_word_references(rule, word):
         # the rule's own message is kept
         ("cancel", {"pos": 7}, "no adjacent pair at position 7"),
         ("hive_hole", {"label": None}, "None is not a discord pair"),
+        # only the rule's own parameters are read, in order
+        (
+            "slide_block",
+            {"block_start": 0, "dest": "x", "pos": "bad"},
+            "slide_block: parameter 'dest' is not an integer: 'x'",
+        ),
+        ("rotate", {"k": "z", "split": None}, "rotate: parameter 'k' is not an integer: 'z'"),
     ],
 )
 def test_bad_params_are_not_applicable(rule, params, message):
     with pytest.raises(NotApplicable, match=f"^{re.escape(message)}$"):
         apply_step(parse("a b a' b'"), rule, params)
+
+
+def test_a_rule_without_parameters_reads_no_params():
+    assert apply_step(parse("a b"), "invert", [1]) == parse("b' a'")
 
 
 @pytest.mark.parametrize("rule", sorted(_REFERENCE_RULES))

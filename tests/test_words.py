@@ -393,3 +393,11 @@ def test_value_classes_are_immutable_picklable_values(cls, fields, text):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert [getattr(value, name) for name in fields] == list(fields.values())
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=None)
+    if cls in (PairEntry, RewriteStep, CornerComplex, Orbit):  # constructors made from __slots__
+        *given, last = fields
+        with pytest.raises(TypeError) as raised:
+            cls(*(fields[name] for name in given))
+        wanted = f"missing 1 required positional argument: {last!r}"
+        assert str(raised.value) == f"{cls.__name__}.__init__() {wanted}"
