@@ -19,7 +19,7 @@ from collections.abc import Iterable
 
 from .invariants import invariants_summary, random_word
 from .normalform import NormalForm, _stages, normalize
-from .rewrite import _Coded
+from .rewrite import _Coded, _step_line
 from .words import MultiplicityError, WordSyntaxError, _tokenize
 
 _WORD_ERRORS = (WordSyntaxError, MultiplicityError)
@@ -41,24 +41,22 @@ def _invariants_line(summary: dict) -> str:
     return " ".join(f"{key}={json.dumps(value)}" for key, value in summary.items())
 
 
-def _emit_json(document: dict) -> None:
-    print(json.dumps(document, indent=2))
+def _emit(args: argparse.Namespace, document: dict, *lines: str) -> None:
+    """Print ``document`` as indented JSON under ``--json``, and otherwise
+    each of ``lines`` and then one line per step of the document's trace."""
+    steps = map(_step_line, document.get("trace", ()))  # lazy: formatted only for text
+    for line in [json.dumps(document, indent=2)] if args.json else [*lines, *steps]:
+        print(line)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     # also serves ``trace``, which is ``classify --trace`` without the form line
     text, coded = _read_word(args.word)
     form, trace = normalize(coded.decode()) if args.trace else (_stages(coded)[0], None)
-    if args.json:
-        document = {"word": text, "normal_form": form.to_dict()}
-        if args.trace:
-            document["trace"] = trace.to_list()
-        _emit_json(document)
-    else:
-        if args.command == "classify":
-            print(_form_line(form))
-        if args.trace and trace:
-            print(trace.describe())
+    document = {"word": text, "normal_form": form.to_dict()}
+    if args.trace:
+        document["trace"] = trace.to_list()
+    _emit(args, document, *([_form_line(form)] if args.command == "classify" else []))
     return 0
 
 
@@ -66,34 +64,27 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     first, second = _read_word(args.first)[1], _read_word(args.second)[1]
     form_a, form_b = _stages(first)[0], _stages(second)[0]
     same = form_a == form_b
-    if args.json:
-        _emit_json(
-            {
-                "equivalent": same,
-                "normal_forms": [form_a.to_dict(), form_b.to_dict()],
-            }
-        )
-    else:
-        print("equivalent" if same else "not equivalent")
+    _emit(
+        args,
+        {
+            "equivalent": same,
+            "normal_forms": [form_a.to_dict(), form_b.to_dict()],
+        },
+        "equivalent" if same else "not equivalent",
+    )
     return 0 if same else 3
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     text, coded = _read_word(args.word)
     summary = invariants_summary(coded.decode())
-    if args.json:
-        _emit_json({"word": text, "invariants": summary})
-    else:
-        print(_invariants_line(summary))
+    _emit(args, {"word": text, "invariants": summary}, _invariants_line(summary))
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    word = random_word(args.pairs, args.singles, args.seed)
-    if args.json:
-        _emit_json({"word": word.render()})
-    else:
-        print(word.render())
+    word = random_word(args.pairs, args.singles, args.seed).render()
+    _emit(args, {"word": word}, word)
     return 0
 
 

@@ -33,7 +33,6 @@ the codes it reads from each line and builds no word and no trace.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
 
 from .rewrite import Trace, _Coded, _glue, _interleave, _inverse, _remove
@@ -103,8 +102,7 @@ class NormalForm(_Value):
             return f"{base} with {self.boundary} boundary components"
         return base
 
-    def __str__(self) -> str:
-        return self.describe()
+    __str__ = describe
 
 
 def _handle_site(cur: list[int], single: set[int]) -> tuple[int, int, int, int] | None:
@@ -134,9 +132,7 @@ def _handle_site(cur: list[int], single: set[int]) -> tuple[int, int, int, int] 
     first: dict[int, int] = {}
     stack: list[int] = []
     closed: set[int] = set()
-    # pending counts the open pairs opened before a1, the first left out;
-    # while a1 is unknown it stays above 0
-    a1 = a2 = pending = n
+    a1 = a2 = n
     for k in chain(range(i0 + 1, j0), range(j0 + 1, n)):
         code = cur[k]
         if code in single:
@@ -149,14 +145,17 @@ def _handle_site(cur: list[int], single: set[int]) -> tuple[int, int, int, int] 
             stack.pop()
         if stack[-1] == opened:
             stack.pop()
-            pending -= opened < a1
         else:
             closed.add(opened)
             if opened < a1:
                 # every pair below it in the stack is open: a crossed one
                 # would have set a smaller a1
-                a1, a2, pending = opened, k, bisect_left(stack, opened)
-        if not pending:
+                a1, a2 = opened, k
+        # the stack rises, so the open pairs opened before a1 (the first left
+        # out) are its entries below a1: one look at its bottom says whether
+        # any is left, where finding a1 in it at each fall of a1 would walk
+        # them all again
+        if a1 < n and (not stack or stack[0] >= a1):
             break
     if a1 == n:
         return None

@@ -467,6 +467,13 @@ def apply_step(word: Word, rule: str, params: dict | None = None) -> Word:
 _STEP_KEYS = {"rule", "params", "before", "after"}
 
 
+def _step_line(step: dict) -> str:
+    """A step object of :meth:`Trace.to_list` as a line of
+    :meth:`Trace.describe`, ``rule(params): 'before' -> 'after'``."""
+    args = ", ".join(f"{k}={v}" for k, v in step["params"].items())
+    return f"{step['rule']}({args}): {step['before']!r} -> {step['after']!r}"
+
+
 class RewriteStep(_Value):
     """One recorded rule application.
 
@@ -608,11 +615,7 @@ class Trace:
     def describe(self) -> str:
         """One line per step, ``rule(params): 'before' -> 'after'``, with
         each word rendered once."""
-        lines = []
-        for step in self.to_list():
-            args = ", ".join(f"{k}={v}" for k, v in step["params"].items())
-            lines.append(f"{step['rule']}({args}): {step['before']!r} -> {step['after']!r}")
-        return "\n".join(lines)
+        return "\n".join(map(_step_line, self.to_list()))
 
     def to_list(self) -> list[dict]:
         """The steps as the JSON-ready objects of :meth:`to_json`.
@@ -647,7 +650,8 @@ class Trace:
         that do not chain.
 
         Each distinct word text is parsed once, and one letter is made
-        per distinct token, which all the words of the trace share.
+        per distinct token, which all the words of the trace share, the
+        words written compactly (``aba'b'``) as much as the others.
         """
         try:
             data = json.loads(text)

@@ -152,8 +152,7 @@ class SignedLetter(_Value):
     def token(self) -> str:
         return self.label + ("'" if self.inverted else "")
 
-    def __str__(self) -> str:
-        return self.token()
+    __str__ = token
 
 
 def _checked_letter(label: str, inverted: bool) -> SignedLetter:
@@ -306,8 +305,7 @@ class Word(_Value):
         return " ".join([letter.label + "'" if letter.inverted else letter.label
                          for letter in self.letters])
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"Word({self.render()!r})"
@@ -452,16 +450,16 @@ def _least_rotation(seq: list) -> tuple:
 def _parse_shared(text: str, letters: dict[str, SignedLetter]) -> Word:
     """``Word.parse(text)``, taking the letter of each token from
     ``letters`` and adding the tokens it has not seen yet, so that words
-    parsed with one table share one letter per distinct token.  Text with
-    a bad token, a compact word among them, goes to ``Word.parse``.
+    parsed with one table share one letter per distinct token, compact
+    words included.  A text with a new token, a compact word or a bad
+    token among them, is read by :func:`_tokenize`, which raises the
+    errors of ``Word.parse``.
     """
-    tokens = text.split()
     try:
-        shared = tuple(map(letters.__getitem__, tokens))
-    except KeyError:  # scan only when some token is new
+        shared = tuple(map(letters.__getitem__, text.split()))
+    except KeyError:
+        tokens = _tokenize(text)
         for token in set(tokens).difference(letters):
-            if not _TOKEN_RE.fullmatch(token):
-                return Word.parse(text)
             letters[token] = _checked_letter(token.rstrip("'"), token.endswith("'"))
         shared = tuple(map(letters.__getitem__, tokens))
     _check_multiplicity(map(attrgetter("label"), shared))

@@ -241,6 +241,92 @@ class TestUsage:
         assert info.value.code == 2
 
 
+_SPHERE = {"kind": "sphere", "genus": 0, "boundary": 0, "chi": 2}
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (
+            ["classify", "--json", "a b a' b' x"],
+            0,
+            {
+                "word": "a b a' b' x",
+                "normal_form": {"kind": "orientable", "genus": 1, "boundary": 1, "chi": -1},
+            },
+        ),
+        (
+            ["classify", "--json", "--trace", "a b a' b"],
+            0,
+            {
+                "word": "a b a' b",
+                "normal_form": {"kind": "nonorientable", "genus": 2, "boundary": 0, "chi": 0},
+                "trace": [
+                    {"rule": "fold_concord", "params": {"label": "b"}, "before": "a b a' b",
+                     "after": "a a b b"},
+                    {"rule": "hive_crosscap", "params": {"pos": 2}, "before": "a a b b",
+                     "after": "a a"},
+                    {"rule": "hive_crosscap", "params": {"pos": 0}, "before": "a a", "after": ""},
+                ],
+            },
+        ),
+        (
+            ["classify", "--json", "--trace", "x"],
+            0,
+            {
+                "word": "x",
+                "normal_form": {"kind": "sphere", "genus": 0, "boundary": 1, "chi": 1},
+                "trace": [],
+            },
+        ),
+        (
+            ["trace", "--json", "a x a' y"],
+            0,
+            {
+                "word": "a x a' y",
+                "normal_form": {"kind": "sphere", "genus": 0, "boundary": 2, "chi": 0},
+                "trace": [
+                    {"rule": "hive_hole", "params": {"label": "a"}, "before": "a x a' y",
+                     "after": "y"},
+                ],
+            },
+        ),
+        (
+            ["equiv", "--json", "a a'", ""],
+            0,
+            {"equivalent": True, "normal_forms": [_SPHERE, _SPHERE]},
+        ),
+        (
+            ["equiv", "--json", "a a", "a b a' b'"],
+            3,
+            {
+                "equivalent": False,
+                "normal_forms": [
+                    {"kind": "nonorientable", "genus": 1, "boundary": 0, "chi": 1},
+                    {"kind": "orientable", "genus": 1, "boundary": 0, "chi": 0},
+                ],
+            },
+        ),
+        (
+            ["invariants", "--json", "a b a' b' x"],
+            0,
+            {
+                "word": "a b a' b' x",
+                "invariants": {
+                    "chi": -1, "orientable": True, "boundary": 1, "vertices": 1, "edges": 3,
+                },
+            },
+        ),
+        (["gen", "--seed", "3", "--json"], 0, {"word": "a' c' b' a b c"}),
+    ],
+    ids=["classify", "classify-trace", "classify-empty-trace", "trace", "equiv", "equiv-3",
+         "invariants", "gen"],
+)
+def test_json_output_bytes(capsys, argv, code, expected):
+    # the exact bytes, so that a change of indentation or key order fails
+    assert run(capsys, *argv) == (code, json.dumps(expected, indent=2) + "\n", "")
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "surfword", "classify", "a b a' b'"],
@@ -253,9 +339,11 @@ def test_module_entry_point():
 
 def test_importing_the_cli_loads_no_introspection_module():
     # ``dataclasses`` would bring ``inspect``, ``ast``, ``dis`` and ``tokenize``
-    # into every process, and ``random`` (for ``random_word`` alone) brings
-    # ``math``; -S keeps site's own imports out of the reading
-    unwanted = ["dataclasses", "inspect", "ast", "dis", "tokenize", "random", "math", "string"]
+    # into every process, ``random`` (for ``random_word`` alone) brings
+    # ``math``, and the handle stage reads its stack's bottom, so needs no
+    # ``bisect``; -S keeps site's own imports out of the reading
+    unwanted = ["dataclasses", "inspect", "ast", "dis", "tokenize", "random", "math", "string",
+                "bisect"]
     script = f"import sys, surfword.cli; print(sorted(set({unwanted}) & set(sys.modules)))"
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(

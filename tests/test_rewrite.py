@@ -362,6 +362,11 @@ class TestTraceAndReplay:
         trace = Trace.from_json(_identity_chain("a b' c", text, text))
         assert trace[0].before == parse("a b' c")
         assert [step.after for step in trace] == [parse(text), parse(text)]
+        # one letter object per distinct token, a compact word's tokens included
+        step_words = [word for step in trace for word in (step.before, step.after)]
+        letters = {id(letter) for word in step_words for letter in word}
+        tokens = {token for word in ("a b' c", text) for token in parse(word).render().split()}
+        assert len(letters) == len(tokens)
 
     @pytest.mark.parametrize(
         "text",
