@@ -1,10 +1,14 @@
 """Normalization traces: auditable, serializable, replayable.
 
 normalize() returns the normal form together with the full chain of
-rewrite steps.  The chain serializes to JSON, and replay() re-executes
-every step, verifying each recorded intermediate word exactly.  A
-tampered trace is caught at the first bad step.
+rewrite steps.  The chain serializes to JSON.  Trace.from_json() reads
+it back by applying each step's move and comparing the text it makes
+with the recorded word; replay() then re-runs the moves from the
+starting word.  A recorded word that does not match is read as written,
+and replay() names the first step whose move does not make it.
 """
+
+import json
 
 from surfword import ReplayMismatch, RewriteStep, Trace, normalize, parse, replay
 
@@ -34,6 +38,14 @@ def main() -> None:
         replay(word, Trace([forged]))
     except ReplayMismatch as exc:
         print(f"tampering detected: {exc}")
+
+    # the same in the JSON text: the forged word is read, and replay names its step
+    steps = json.loads(text)
+    steps[0]["after"] = steps[1]["before"] = steps[0]["before"]
+    try:
+        replay(word, Trace.from_json(json.dumps(steps)))
+    except ReplayMismatch as exc:
+        print(f"tampering in JSON detected: {exc}")
 
 
 if __name__ == "__main__":

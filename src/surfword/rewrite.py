@@ -21,6 +21,14 @@ its moves alone (:meth:`Trace.from_moves`, which ``normalize`` uses):
 the initial word, each ``(rule, params)`` and the final word.  Its
 intermediate words are built once, when its steps are first read; it
 is written to JSON from the codes, without them.
+
+:meth:`Trace.from_json` reads a trace at the cost of its moves.  It
+parses the first word once, applies each move to its codes and
+compares the text they make with the recorded one; when every text
+agrees, the trace it returns stores its moves alone, and :func:`replay`
+walks them once.  A trace whose texts differ anywhere (a tampered,
+compactly written or oddly spaced word, or a move that does not apply)
+is read word by word instead, and replay names the step at fault.
 """
 
 from __future__ import annotations
@@ -467,6 +475,24 @@ def apply_step(word: Word, rule: str, params: dict | None = None) -> Word:
 _STEP_KEYS = {"rule", "params", "before", "after"}
 
 
+def _shaped(data) -> bool:
+    """Whether ``data`` has the shape of a :meth:`RewriteStep.to_dict` object."""
+    return (
+        isinstance(data, dict)
+        and data.keys() == _STEP_KEYS
+        and isinstance(data["params"], dict)
+        and all(isinstance(data[k], str) for k in ("rule", "before", "after"))
+    )
+
+
+def _text(coded: _Coded, tokens: list[str]) -> str:
+    """The text of ``coded``, joined from one token per code; ``tokens``
+    holds the two tokens of each name, and is remade when a name is new."""
+    if len(tokens) < 2 * len(coded.names):  # first word, or glue_singles named a label
+        tokens[:] = [token for name in coded.names for token in (name, name + "'")]
+    return " ".join(map(tokens.__getitem__, coded.codes))
+
+
 def _step_line(step: dict) -> str:
     """A step object of :meth:`Trace.to_list` as a line of
     :meth:`Trace.describe`, ``rule(params): 'before' -> 'after'``."""
@@ -502,12 +528,7 @@ class RewriteStep(_Value):
         ``letters`` maps tokens to letters in the same way, so the words
         of a trace share one letter per distinct token.
         """
-        if not (
-            isinstance(data, dict)
-            and data.keys() == _STEP_KEYS
-            and isinstance(data["params"], dict)
-            and all(isinstance(data[k], str) for k in ("rule", "before", "after"))
-        ):
+        if not _shaped(data):
             raise ValueError("trace step wants strings rule, before, after and an object params")
         parsed = {} if parsed is None else parsed
         letters = {} if letters is None else letters
@@ -537,6 +558,8 @@ class Trace:
     checks that they reach the final word.  Its steps, with the words
     between, are built the first time they are read, each word decoded
     once.  Until then it is written from the codes, and builds no step.
+    :meth:`from_json` returns such a trace for the text that
+    :meth:`to_json` writes.
     """
 
     __slots__ = ("_initial", "_moves", "_final", "_steps")
@@ -630,11 +653,8 @@ class Trace:
             texts = [step.before.render() for step in steps[:1]]
             texts += [step.after.render() for step in steps]
         else:
-            texts, tokens = [self._initial.render()], []
-            for coded in self._walk():
-                if len(tokens) < 2 * len(coded.names):  # first word, or glue_singles named a label
-                    tokens = [token for name in coded.names for token in (name, name + "'")]
-                texts.append(" ".join(map(tokens.__getitem__, coded.codes)))
+            tokens: list[str] = []
+            texts = [self._initial.render(), *(_text(coded, tokens) for coded in self._walk())]
         return [
             {"rule": rule, "params": dict(params), "before": before, "after": after}
             for (rule, params), before, after in zip(self._moves, texts, texts[1:])
@@ -644,14 +664,49 @@ class Trace:
         return json.dumps(self.to_list(), indent=indent)
 
     @classmethod
+    def _checked_moves(cls, data: list) -> "Trace | None":
+        """The moves-only trace of the step objects ``data`` if each step's
+        ``before`` is the previous ``after`` and its move makes its
+        ``after`` text from the word before, else ``None``."""
+        if not (data and all(map(_shaped, data))):
+            return None
+        text, tokens = data[0]["before"], []
+        try:
+            first = _parse_shared(text, {})
+            coded = _Coded.encode(first)
+            for step in data:
+                if step["before"] != text:
+                    return None
+                _apply(coded, step["rule"], step["params"])
+                text = _text(coded, tokens)
+                if text != step["after"]:
+                    return None
+        except ValueError:  # a bad first word, or a move that does not apply
+            return None
+        moves = [(step["rule"], step["params"]) for step in data]
+        return cls.from_moves(first, moves, coded.decode())
+
+    @classmethod
     def from_json(cls, text: str) -> "Trace":
         """Parse :meth:`to_json` output; raises :class:`ValueError` on
         malformed or too deeply nested JSON, a malformed step or steps
         that do not chain.
 
-        Each distinct word text is parsed once, and one letter is made
-        per distinct token, which all the words of the trace share, the
-        words written compactly (``aba'b'``) as much as the others.
+        The first word is parsed and encoded once.  Each step's move is
+        applied to its codes, with its rule's checks, and the text the
+        codes make is compared with the recorded ``after``; each
+        ``before`` must be the previous ``after`` as text.  A text that
+        a move makes from a valid word is a valid word, so no other word
+        is parsed or counted, and the trace returned stores its moves
+        only (:meth:`from_moves`).
+
+        At the first step that does not agree, every step is read word
+        by word, as :meth:`RewriteStep.from_dict` reads it, which raises
+        the errors of a bad step or word in step order; steps that
+        parse but do not reproduce are kept for :func:`replay` to name.
+        Each distinct word text is then parsed once, and one letter is
+        made per distinct token, which all the words of the trace share,
+        the words written compactly (``aba'b'``) as much as the others.
         """
         try:
             data = json.loads(text)
@@ -659,6 +714,8 @@ class Trace:
             raise ValueError("trace JSON is nested too deeply") from None
         if not isinstance(data, list):
             raise ValueError("a trace must be a JSON array of steps")
+        if (trace := cls._checked_moves(data)) is not None:
+            return trace
         parsed: dict[str, Word] = {}
         letters: dict[str, SignedLetter] = {}
         return cls(RewriteStep.from_dict(item, parsed, letters) for item in data)
@@ -671,22 +728,33 @@ def replay(word: Word, trace: Trace) -> Word:
     words disagree with recomputation, or whose rule or parameters do
     not apply.  Returns the final word.
 
-    ``word`` is encoded once and each step edits its codes.  Once a
-    step's result is checked equal to its recorded ``after``, replay
-    continues from that recorded word.  Its codes are mapped to its
-    letters, so that later results decode to them, after the first step
-    and after each step whose decoding had to make a letter (the new
-    label of a glue, or the other orientation of a code that a fold or
-    an inversion brings in).  The words of a parsed trace share their
+    A trace whose steps are not built, such as the one
+    :meth:`Trace.from_json` returns for what :meth:`Trace.to_json`
+    writes, records no word between its first and its last.  Its moves
+    are walked once, with every check and the check that they reach the
+    final word, and then ``word`` is compared with its first word.
+
+    Otherwise ``word`` is encoded once and each step edits its codes.
+    Once a step's result is checked equal to its recorded ``after``,
+    replay continues from that recorded word.  Its codes are mapped to
+    its letters, so that later results decode to them, after the first
+    step and after each step whose decoding had to make a letter (the
+    new label of a glue, or the other orientation of a code that a fold
+    or an inversion brings in).  The words of a parsed trace share their
     letters, so later comparisons mostly meet the same objects.
     """
+    if trace._steps is None:  # the moves, each checked, and that they reach the final word
+        for _ in trace._walk():
+            pass
+    if len(trace) and word != trace.initial_word():
+        raise ReplayMismatch(
+            f"step 0: expected word {trace.initial_word().render()!r}, have {word.render()!r}"
+        )
+    if trace._steps is None:
+        return trace.final_word()
     coded = _Coded.encode(word)
     current = word
     for idx, step in enumerate(trace):
-        if current != step.before:
-            raise ReplayMismatch(
-                f"step {idx}: expected word {step.before.render()!r}, have {current.render()!r}"
-            )
         try:
             _apply(coded, step.rule, step.params)
         except NotApplicable as exc:

@@ -437,6 +437,30 @@ def test_handle_site_matches_the_partner_table_search(word):
     raise AssertionError((codes, site, _reference_handle_site(codes)))
 
 
+class _CountedReads(list):
+    """Letter codes that count the reads of each position by index."""
+
+    def __init__(self, codes):
+        super().__init__(codes)
+        self.reads = [0] * len(codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, int):
+            self.reads[index] += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_handle_site_scan_stops_once_no_pair_before_a1_is_open(m):
+    # o p1 .. pm q pm' .. p1' q' o': the scan lowers a1 to p1 at p1' and may
+    # stop there, as q, the one pair still open, was opened after p1
+    opens = [2 * i for i in range(m + 2)]
+    codes = _CountedReads(opens + [code + 1 for code in opens[m:0:-1]] + [opens[-1] + 1, 1])
+    assert _handle_site(codes, set()) == (1, m + 1, 2 * m + 1, 2 * m + 2)
+    # one read of q' by the first pair's arc check, and none by the scan
+    assert codes.reads[2 * m + 2] == 1
+
+
 def _reference_crosscap_site(cur):
     """The reference for the crosscap stage's site: stored positions of
     the first code that occurs twice, found from a table of the last

@@ -268,6 +268,95 @@ class TestCodedParse:
         assert _parse_outcome(coded, text) == _parse_outcome(parse, text)
 
 
+def _reference_from_json(text):
+    """The step-by-step reader: every word parsed, and the steps chained
+    as words by ``Trace``."""
+    parsed, letters = {}, {}
+    return Trace(RewriteStep.from_dict(item, parsed, letters) for item in json.loads(text))
+
+
+def _reference_replay(word, trace):
+    """Replay that builds every step and recomputes each ``after`` from
+    its ``before``."""
+    current = word
+    for idx, step in enumerate(trace):
+        if current != step.before:
+            raise ReplayMismatch(
+                f"step {idx}: expected word {step.before.render()!r}, have {current.render()!r}"
+            )
+        try:
+            result = apply_step(current, step.rule, step.params)
+        except NotApplicable as exc:
+            raise ReplayMismatch(f"step {idx}: {step.rule} not applicable: {exc}") from exc
+        if result != step.after:
+            raise ReplayMismatch(
+                f"step {idx}: {step.rule} produced {result.render()!r}, "
+                f"recorded {step.after.render()!r}"
+            )
+        current = step.after
+    return current
+
+
+def _outcome(function, *args):
+    """The result of ``function``, or the type and message of what it raised."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_PARAM_VALUES = st.one_of(
+    st.integers(-3, 12), st.sampled_from(["a", "b", "c", "z9", "1"]), st.none(), st.booleans(),
+    st.floats(allow_nan=False), st.lists(st.integers(), max_size=1),
+)
+
+
+@st.composite
+def trace_texts(draw):
+    """A start word and the JSON of its ``normalize`` trace, as written or
+    with one change: a tampered ``after``, doubled spaces, a compact first
+    word, drawn params, another rule name, a ``before`` that does not
+    chain, or a step of another shape."""
+    word = draw(words())
+    data = json.loads(normalize(word)[1].to_json())
+    start = draw(st.sampled_from([word, parse("a b a' b'")]))
+    changes = ["none", "after", "spaces", "compact", "params", "rule", "before", "shape"]
+    change = draw(st.sampled_from(changes))
+    if not data:
+        return start, "[]"
+    step = data[draw(st.integers(0, len(data) - 1))]
+    if change == "after":
+        step["after"] = (step["after"] + " z9").strip()
+    elif change == "spaces":
+        key = draw(st.sampled_from(["before", "after"]))
+        step[key] = step[key].replace(" ", "  ")
+    elif change == "compact":
+        data[0]["before"] = data[0]["before"].replace(" ", "")
+    elif change == "params":
+        keys = st.sampled_from(["pos", "label", "split", "k", "a", "b", "block_start", "dest"])
+        step["params"] = draw(st.dictionaries(keys, _PARAM_VALUES, max_size=3))
+    elif change == "rule":
+        step["rule"] = draw(st.sampled_from([*REWRITE_RULES, "rotate", "invert", "shrink"]))
+    elif change == "before":
+        step["before"] = draw(st.sampled_from([step["after"], "a b a' b'", ""]))
+    elif change == "shape":
+        key = draw(st.sampled_from(["x", "params", "after", "rule"]))
+        step[key] = draw(st.sampled_from([7, []]))
+    return start, json.dumps(data)
+
+
+@given(trace_texts())
+@settings(max_examples=300, deadline=None)
+def test_from_json_and_replay_match_the_step_by_step_references(case):
+    start, text = case
+    read = _outcome(Trace.from_json, text)
+    reference = _outcome(_reference_from_json, text)
+    if isinstance(reference, Trace):
+        # replay first, on a trace whose steps nothing has read yet
+        assert _outcome(replay, start, read) == _outcome(_reference_replay, start, reference)
+    assert read == reference
+
+
 class TestTraceAndReplay:
     def _sample_trace(self):
         w0 = parse("a b a' b")
@@ -425,6 +514,29 @@ class TestTraceAndReplay:
         built = Trace(list(trace))
         assert text == built.to_json() and lines == built.describe()
         assert Trace.from_json(text) == trace
+
+    @pytest.mark.parametrize("text", ["c a b a' c x b", "x y z w", "a b c a d b' e c' d"])
+    def test_from_json_of_a_normalize_trace_reads_its_moves_only(self, text):
+        word = parse(text)
+        _, trace = normalize(word)
+        revived = Trace.from_json(trace.to_json())
+        assert revived._steps is None
+        assert replay(word, revived) == trace.final_word()
+        assert revived._steps is None
+        # once read, the words of its steps share one letter per distinct token
+        step_words = [word for step in revived for word in (step.before, step.after)]
+        assert step_words == [word for step in trace for word in (step.before, step.after)]
+        letters = {id(letter) for word in step_words for letter in word}
+        assert len(letters) == len({letter.token() for word in step_words for letter in word})
+
+    @pytest.mark.parametrize(
+        "move, final", [(("cancel", {"pos": 0}), "y"), (("cancel", {"pos": 5}), "x")]
+    )
+    def test_replay_walks_the_moves_before_it_checks_the_start(self, move, final):
+        trace = Trace.from_moves(parse("a a' x"), [move], parse(final))
+        outcome = _outcome(replay, parse("b"), trace)
+        assert outcome == _outcome(_reference_replay, parse("b"), trace)
+        assert outcome[0] in (AssertionError, NotApplicable)
 
     def test_trace_slicing_and_accessors(self):
         trace = self._sample_trace()
