@@ -1,6 +1,7 @@
 """Normalization, normal forms, and the canonical word for each form."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -374,6 +375,38 @@ class TestLongShapes:
     def test_crosscap_shape_traces_are_pinned(self):
         digest = _traces_sha256(p.values[0] for p in CROSSCAP_SHAPES)
         assert digest == CROSSCAP_SHAPES_TRACES_SHA256
+
+
+# One word of about 4,096 letters from each shape the stages' searches
+# are tuned for, where the pinned traces above stop near 1,000 letters.
+WORDS_4096 = [
+    random_word(1950, 195, 4096),
+    family_iii(2048),
+    family_iv(2048),
+    family_v(2048),
+    nested_handles(682),
+    twice_nested_handles(512),
+    nested_holes(1010, 3, 3, 36),  # singles of both flags before and after
+    wrapped_random(1920, 7, 7, 77),
+]
+# sha256 over the JSON of the moves _stages returns for WORDS_4096, one
+# line per word, computed at commit d149f49, where the handle stage built
+# a set of the whole arc and the crosscap stage found a fold's second
+# occurrence by a forward scan.  Hashing the moves, not the trace text,
+# keeps this fast: one trace at this length writes tens of megabytes.
+WORDS_4096_MOVES_SHA256 = "62e86538840027f681fecf52eb7499fb34e3226da9eb691fe574ae6246d2c3c3"
+
+
+def test_moves_near_4096_letters_are_pinned():
+    digest = hashlib.sha256()
+    for word in WORDS_4096:
+        coded = _Coded.encode(word)
+        form, moves = _stages(coded)
+        digest.update(json.dumps(moves).encode() + b"\n")
+        assert form == classify_by_invariants(word)
+        final = coded.decode()
+        assert replay(word, Trace.from_moves(word, moves, final)) == final
+    assert digest.hexdigest() == WORDS_4096_MOVES_SHA256
 
 
 def _reference_handle_site(cur):
