@@ -19,16 +19,18 @@ the tallied holes.
 
 The stages work on one coded word, not on :class:`Word` values: each step
 finds a rule's site with a search that stops as soon as the site is fixed
-and reads at most one O(n) pass (the handle stage adds one set over the
-first pair's arc), applies that rule's own edit from
-:mod:`surfword.rewrite` there (O(n) too), and records the rule.  The
-crosscap stage keeps the concord labels and the word's reverse-and-flip: a
-fold toggles its straddlers, the pairs with one end in its run, read from
-the shorter of the run and the rest, and it and its hive are two slice
-copies.  The returned :class:`Trace` keeps those moves with the initial and
-final words and builds the words between on demand, so :func:`classify` and
-:func:`equivalent` never build them.  ``surfword batch`` runs the stages on
-the codes it reads from each line and builds no word and no trace.
+and reads at most one O(n) pass (the handle stage adds one over the first
+pair's arc, in C when the rest of the word is shorter), applies that
+rule's own edit from :mod:`surfword.rewrite` there (O(n) too), and records
+the rule.  The crosscap stage keeps the concord labels and the word's
+reverse-and-flip, where it finds a fold's second occurrence from the end
+of the word: a fold toggles its straddlers, the pairs with one end in its
+run, read from the shorter of the run and the rest, and it and its hive
+are two slice copies.  The returned :class:`Trace` keeps those moves with
+the initial and final words and builds the words between on demand, so
+:func:`classify` and :func:`equivalent` never build them.  ``surfword
+batch`` runs the stages on the codes it reads from each line and builds no
+word and no trace.
 """
 
 from __future__ import annotations
@@ -112,15 +114,16 @@ def _handle_site(cur: list[int], single: set[int]) -> tuple[int, int, int, int] 
     that crosses ``a``, in a word with no concord pair and single letter
     codes ``single``.
 
-    The first pair is tried first, with one set of the codes in its arc.
-    When it crosses nothing, a scan with a stack of pair openers finds
-    ``a``: a pair closing below the top crosses every pair above it, and
-    every crossing is seen at the close of the pair that opened first.
-    Closed pairs left in the stack are popped when they reach the top.
-    Only the close of a pair opened before ``a1`` can lower ``a1``, so
-    the scan stops once ``a1`` is known and no such pair is open; the
-    first pair, nested with every other, is left out of the scan.  No
-    step reads more than the scan and the one set over the first arc.
+    The first pair is tried first, by :func:`_crossing_site` on the
+    shorter of its arc and the rest of the word.  When it crosses nothing,
+    a scan with a stack of pair openers finds ``a``: a pair closing below
+    the top crosses every pair above it, and every crossing is seen at the
+    close of the pair that opened first.  Closed pairs left in the stack
+    are popped when they reach the top.  Only the close of a pair opened
+    before ``a1`` can lower ``a1``, so the scan stops once ``a1`` is known
+    and no such pair is open; the first pair, nested with every other, is
+    left out of the scan.  No step reads more than the scan and one pass
+    over the first arc.
     """
     n = len(cur)
     i0 = next((k for k, code in enumerate(cur) if code not in single), n)
@@ -168,7 +171,22 @@ def _crossing_site(
     """``(a1, b1, a2, b2)`` for ``b``, the first pair with one occurrence
     inside the pair ``a`` at ``a1 < a2`` and the other outside, or None.
     When no pair opened before ``a1`` crosses another, that other
-    occurrence comes after ``a2``."""
+    occurrence comes after ``a2``.
+
+    When the rest of the word is shorter than the arc, ``b``'s code in
+    the arc is the inverse of a code in the rest: the inverses of the
+    rest are intersected in C with the arc, which is read by index only
+    when that finds a hit, up to the first.  A single letter needs no
+    test there, as its inverse occurs nowhere.  Otherwise ``b`` is the
+    first arc code whose inverse is not in the set of the arc's codes.
+    """
+    if len(cur) < 2 * (a2 - a1):
+        rest = {code ^ 1 for code in chain(cur[a2 + 1 :], cur[:a1])}
+        hits = rest.intersection(cur[a1 + 1 : a2])
+        if not hits:
+            return None
+        b1 = next(k for k in range(a1 + 1, a2) if cur[k] in hits)
+        return a1, b1, a2, cur.index(cur[b1] ^ 1, a2 + 1)
     arc = set(cur[a1 + 1 : a2])
     for b1 in range(a1 + 1, a2):
         if cur[b1] ^ 1 not in arc and cur[b1] not in single:
@@ -237,12 +255,14 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
     once it is fixed, applies the rule's own edit there, unchecked, and
     records ``(rule, params)``, but not a ``fold_concord`` or
     ``interleave_to_handle`` that would return its input.  The crosscap stage
-    keeps the concord labels and the word's reverse-and-flip and takes the
-    first letter with one; a fold toggles the straddlers, the labels seen
-    once on the shorter of its run and the rest, less the singles, and it and
-    its hive are two slice copies.  The handle stage, with no concord pair
-    left, reads a pair's other occurrence as the inverse code and tries the
-    first pair before a stack scan that stops when no earlier pair is open.
+    keeps the concord labels and the word's reverse-and-flip, takes the
+    first letter with one and reads its partner from the end, as the first
+    inverse code in the reverse-and-flip; a fold toggles the straddlers, the
+    labels seen once on the shorter of its run and the rest, less the
+    singles, and it and its hive are two slice copies.  The handle stage,
+    with no concord pair left, reads a pair's other occurrence as the
+    inverse code and tries the first pair, on the shorter of its arc and
+    the rest, before a stack scan that stops when no earlier pair is open.
     The boundary stage keeps the set of single codes, finds a glue in one
     flag per position and stops its hole scan at the first pair-free arc.
     """
@@ -259,11 +279,11 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
         for i, code in enumerate(codes):
             if code >> 1 in concord:
                 break
-        j = codes.index(code, i + 1)
+        n = len(codes)
+        j = n - 1 - flipped.index(code ^ 1)  # the later of the code's two
         if j > i + 1 or code & 1:
             moves.append(("fold_concord", {"label": names[code >> 1]}))
         moves.append(("hive_crosscap", {"pos": j - 1}))
-        n = len(codes)
         run = codes[i + 1 : j]
         odd = {code >> 1}
         for other in run if 2 * len(run) < n else chain(codes[:i], codes[j + 1 :]):

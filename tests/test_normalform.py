@@ -30,7 +30,7 @@ from surfword import (
 )
 
 from surfword.invariants import _partners
-from surfword.normalform import _glue_site, _handle_site, _hole_site, _stages
+from surfword.normalform import _crossing_site, _glue_site, _handle_site, _hole_site, _stages
 from surfword.rewrite import _Coded, _fold, _glue, _interleave, _remove
 
 from conftest import words
@@ -485,13 +485,41 @@ class _CountedReads(list):
 
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_handle_site_scan_stops_once_no_pair_before_a1_is_open(m):
-    # o p1 .. pm q pm' .. p1' q' o': the scan lowers a1 to p1 at p1' and may
-    # stop there, as q, the one pair still open, was opened after p1
+    # o p1 .. pm q pm' .. p1' q' o', then 0 or 2m + 3 single letters: the scan
+    # lowers a1 to p1 at p1' and may stop there, as q, the one pair still
+    # open, was opened after p1
     opens = [2 * i for i in range(m + 2)]
-    codes = _CountedReads(opens + [code + 1 for code in opens[m:0:-1]] + [opens[-1] + 1, 1])
-    assert _handle_site(codes, set()) == (1, m + 1, 2 * m + 1, 2 * m + 2)
-    # one read of q' by the first pair's arc check, and none by the scan
-    assert codes.reads[2 * m + 2] == 1
+    word = opens + [code + 1 for code in opens[m:0:-1]] + [opens[-1] + 1, 1]
+    for pad in (0, 2 * m + 3):
+        singles = [2 * (m + 2 + k) for k in range(pad)]
+        codes = _CountedReads(word + singles)
+        assert _handle_site(codes, set(singles)) == (1, m + 1, 2 * m + 1, 2 * m + 2)
+        # the first pair's check reads q' once on its arc when the rest is
+        # longer, and not at all from the empty rest; the scan never reads it
+        assert codes.reads[2 * m + 2] == (pad > 0)
+
+
+# The pair a (codes 0 and 1) with an arc longer than the rest of the word,
+# and single letters (codes 20, 23 and 25) in both.  Its straddlers, the
+# pairs with one end in each, are read from the rest: none; p (codes 2 and
+# 3); p and q (4 and 5), with q's end first in the rest, where the site is
+# p's, the first in the arc.  With none, no arc position is read by index.
+@pytest.mark.parametrize(
+    "codes, site",
+    [
+        ([0, 2, 4, 25, 5, 3, 1, 20, 23], None),
+        ([0, 2, 4, 25, 6, 7, 5, 1, 20, 3, 23], (0, 1, 7, 9)),
+        ([0, 2, 4, 25, 6, 7, 1, 20, 5, 3, 23], (0, 1, 6, 9)),
+    ],
+    ids=["no straddler", "one straddler", "two straddlers"],
+)
+def test_crossing_site_reads_the_shorter_rest(codes, site):
+    codes = _CountedReads(codes)
+    a2 = codes.index(1)
+    assert len(codes) < 2 * a2
+    assert _crossing_site(codes, {20, 23, 25}, 0, a2) == site
+    if site is None:
+        assert not any(codes.reads[1:a2])
 
 
 def _reference_crosscap_site(cur):
