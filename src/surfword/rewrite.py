@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
+from heapq import heappop, heappush
 
 from .words import CONCORD, DISCORD, SignedLetter, Word, _Value, label_sequence
 from .words import _check_multiplicity, _checked_letter, _checked_word, _parse_shared
@@ -119,17 +120,16 @@ def _pair(coded: _Coded, label: str, character: str) -> tuple[int, int]:
     """Stored positions of the pair ``label``, which must be of
     ``character`` (:data:`CONCORD` or :data:`DISCORD`)."""
     codes = coded.codes
-    if label in coded.names:
+    try:
         up = 2 * coded.names.index(label)
         if character == CONCORD:
             code = up if up in codes else up + 1
-            if codes.count(code) == 2:
-                i = codes.index(code)
-                return i, codes.index(code, i + 1)
-        elif up in codes and up + 1 in codes:
-            i, j = codes.index(up), codes.index(up + 1)
-            return min(i, j), max(i, j)
-    raise NotApplicable(f"{label!r} is not a {character} pair")
+            i = codes.index(code)
+            return i, codes.index(code, i + 1)
+        i, j = codes.index(up), codes.index(up + 1)
+        return min(i, j), max(i, j)
+    except ValueError:  # no such label, or not two occurrences of the character
+        raise NotApplicable(f"{label!r} is not a {character} pair") from None
 
 
 def _single(codes: list[int], k: int) -> bool:
@@ -342,16 +342,62 @@ def _invert(coded: _Coded) -> None:
     coded.codes[:] = _inverse(coded.codes)
 
 
-def _glue(coded: _Coded, pos: int) -> None:
+class _FreshLabels:
+    """The labels that ``glue_singles`` names in one coded word as it is
+    edited: each the first name of :func:`label_sequence` unused in the
+    word, as an id of ``coded.names``.
+
+    Labels only leave the word, but for the one each glue adds.  So the
+    sequence is walked once, up to a frontier past every name taken or in
+    use then, and the walked names that leave the word since are kept in
+    a min-heap by their places in the sequence.  An edit that removes
+    letters passes their ids to :meth:`release`.
+    """
+
+    __slots__ = ("names", "ids", "used", "sequence", "places", "freed")
+
+    def __init__(self, coded: _Coded):
+        self.names = coded.names
+        self.ids = {name: k for k, name in enumerate(coded.names)}
+        self.used = {code >> 1 for code in coded.codes}
+        self.sequence = label_sequence()
+        self.places: dict[int, int] = {}  # id -> place in the sequence, of each name walked
+        self.freed: list[tuple[int, int]] = []  # (place, id) of the walked names unused
+
+    def take(self) -> int:
+        if self.freed:
+            label = heappop(self.freed)[1]
+        else:
+            ids, places, used = self.ids, self.places, self.used
+            for name in self.sequence:
+                label = ids.get(name)
+                if label is None:
+                    label = ids[name] = len(self.names)
+                    self.names.append(name)
+                places[label] = len(places)
+                if label not in used:
+                    break
+        self.used.add(label)
+        return label
+
+    def release(self, *labels: int) -> None:
+        for label in labels:
+            self.used.discard(label)
+            if label in self.places:
+                heappush(self.freed, (self.places[label], label))
+
+
+def _glue(coded: _Coded, pos: int, fresh: _FreshLabels | None = None) -> None:
     """The edit of ``glue_singles``: the letters at ``pos`` and ``pos +
-    1`` become one letter with the first label unused in the word."""
-    codes, names = coded.codes, coded.names
-    used = {names[code >> 1] for code in codes}
-    label = next(name for name in label_sequence() if name not in used)
-    if label not in names:
-        names.append(label)
-    codes[pos] = 2 * names.index(label)
-    del codes[(pos + 1) % len(codes)]
+    1`` become one letter with the first label unused in the word, taken
+    from ``fresh`` when the caller keeps one for ``coded``."""
+    codes = coded.codes
+    j = (pos + 1) % len(codes)
+    fresh = fresh or _FreshLabels(coded)
+    label = fresh.take()  # before the glued labels leave, as they are in use
+    fresh.release(codes[pos] >> 1, codes[j] >> 1)
+    codes[pos] = 2 * label
+    del codes[j]
 
 
 def _glue_singles(coded: _Coded, pos: int) -> None:
@@ -732,7 +778,9 @@ def replay(word: Word, trace: Trace) -> Word:
     :meth:`Trace.from_json` returns for what :meth:`Trace.to_json`
     writes, records no word between its first and its last.  Its moves
     are walked once, with every check and the check that they reach the
-    final word, and then ``word`` is compared with its first word.
+    final word, and then ``word`` is compared with its first word.  A
+    move that does not apply names its step, and moves that miss the
+    final word name the last.
 
     Otherwise ``word`` is encoded once and each step edits its codes.
     Once a step's result is checked equal to its recorded ``after``,
@@ -744,8 +792,15 @@ def replay(word: Word, trace: Trace) -> Word:
     letters, so later comparisons mostly meet the same objects.
     """
     if trace._steps is None:  # the moves, each checked, and that they reach the final word
-        for _ in trace._walk():
-            pass
+        done = 0
+        try:
+            for done, _ in enumerate(trace._walk(), 1):
+                pass
+        except NotApplicable as exc:
+            rule = trace._moves[done][0]
+            raise ReplayMismatch(f"step {done}: {rule} not applicable: {exc}") from exc
+        except AssertionError as exc:  # raised by the walk's last check only
+            raise ReplayMismatch(f"step {done - 1}: {exc}") from exc
     if len(trace) and word != trace.initial_word():
         raise ReplayMismatch(
             f"step 0: expected word {trace.initial_word().render()!r}, have {word.render()!r}"

@@ -533,10 +533,25 @@ class TestTraceAndReplay:
         "move, final", [(("cancel", {"pos": 0}), "y"), (("cancel", {"pos": 5}), "x")]
     )
     def test_replay_walks_the_moves_before_it_checks_the_start(self, move, final):
+        # the reference builds the steps, which raises what the walk raises;
+        # replay names the step of the same fault in a ReplayMismatch
         trace = Trace.from_moves(parse("a a' x"), [move], parse(final))
+        kind, message = _outcome(_reference_replay, parse("b"), trace)
+        assert kind in (AssertionError, NotApplicable)
         outcome = _outcome(replay, parse("b"), trace)
-        assert outcome == _outcome(_reference_replay, parse("b"), trace)
-        assert outcome[0] in (AssertionError, NotApplicable)
+        assert outcome[0] is ReplayMismatch
+        assert outcome[1].startswith("step 0: ") and outcome[1].endswith(message)
+
+    def test_replay_of_moves_names_the_step_at_fault(self):
+        word = parse("a b a' b'")
+        bad = [("rotate", {"k": 1}), ("cancel", {"pos": 9})]
+        trace = Trace.from_moves(word, bad, word)
+        with pytest.raises(ReplayMismatch, match="^step 1: cancel not applicable: no adjacent pair"):
+            replay(word, trace)
+        # moves that apply but miss the final word name the last step
+        missed = Trace.from_moves(word, [("rotate", {"k": 1}), ("rotate", {"k": 1})], word)
+        with pytest.raises(ReplayMismatch, match="^step 1: moves reach .* not the final word"):
+            replay(word, missed)
 
     def test_trace_slicing_and_accessors(self):
         trace = self._sample_trace()
