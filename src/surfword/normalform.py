@@ -317,7 +317,7 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
             flipped[n - 1 - i :] = tail
             flipped[: n - j] = head
             codes, flipped = flipped, codes
-            side = chain(head, tail)
+            side = head + tail
         # a straddler, with one end in the shorter side, changes character
         for other in side:
             if (label := other >> 1) in concord:

@@ -764,6 +764,7 @@ _ODD_NAMES = [f"{name}0{k % 3 or ''}" for k, name in enumerate(_NAMES[:40])] + _
 @example([10, 12, 0, 14, 16, 1], _NAMES)  # k m a o q a': the site after a glue's
 @example([2, 10, 0, 1, 3], _NAMES)  # b k a a' b': a cancel at 2 makes a hole at 0
 @example([4, 6, 2, 10, 0, 1, 3, 7, 5, 8, 9], _NAMES)  # c d b k a a' b' d' c' e e': at 4, at 2
+@example([12, 4, 6, 2, 10, 0, 1, 3, 7, 5, 8, 9], _NAMES)  # m c d b k a a' b' ...: at 5, at 3
 @example([0, 2, 10, 3, 12, 14, 1, 16], _NAMES)
 @example([0, 10, 2, 3, 12, 1, 14], _NAMES)  # a k b b' m a' o: glue and hole across the wrap
 @example([10, 0, 1, 12, 4, 5], _ODD_NAMES)  # a glue takes a label that left the word
