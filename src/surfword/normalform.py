@@ -21,7 +21,7 @@ The stages work on one coded word, not on :class:`Word` values: each step
 finds a rule's site with a search that stops as soon as the site is fixed,
 applies that rule's own edit from :mod:`surfword.rewrite` there, and
 records the rule.  Where it can, a step reads only the shorter side of
-its edit, or its seam, and leaves moving the rest of the list to C.
+its edit and leaves moving the rest of the list to C.
 
 * The crosscap stage keeps the concord labels and the word's
   reverse-and-flip, where it finds a fold's second occurrence from the end
@@ -32,10 +32,8 @@ its edit, or its seam, and leaves moving the rest of the list to C.
   read from that side and change character.
 * The handle stage tries the first pair on the shorter of its arc and the
   rest, before a stack scan that stops when no earlier pair is open.
-* The boundary stage resumes its searches at the last edit: a glue site
-  lies after the last glue or at the seam of the last cancel or hole, a
-  hole site starts at most two letters before the last edit, and the
-  fresh labels of its glues come from a heap of the labels freed.
+* The boundary stage finds a glue in one flag per position and stops its
+  hole scan at the first pair-free arc, each from the start of the word.
 
 On random words the crosscap stage stays quadratic: their straddlers
 total about ``0.036 n**2``, and this order of moves touches each one.
@@ -50,7 +48,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .rewrite import Trace, _Coded, _FreshLabels, _glue, _interleave, _inverse, _remove
+from .rewrite import Trace, _Coded, _glue, _interleave, _inverse, _remove
 from .words import SignedLetter, Word, _setfield, _Value
 
 __all__ = [
@@ -207,24 +205,23 @@ def _crossing_site(
     return None
 
 
-def _glue_site(cur: list[int], single: set[int], lo: int, hi: int) -> int | None:
-    """First position in ``lo .. hi - 1`` holding a single letter followed
-    by another, else ``len(cur) - 1`` when the last and first letters are
-    single, else None; ``single`` holds the codes of the single letters,
-    and ``hi`` is below ``len(cur)``."""
-    for pos in range(lo, hi):
-        if cur[pos] in single and cur[pos + 1] in single:
-            return pos
-    if len(cur) >= 2 and cur[0] in single and cur[-1] in single:
-        return len(cur) - 1
+def _glue_site(cur: list[int], single: set[int]) -> int | None:
+    """First position holding a single letter followed cyclically by
+    another single letter, read from one flag per position; ``single``
+    holds the codes of the single letters."""
+    flags = bytes([code in single for code in cur])
+    pos = flags.find(b"\1\1")
+    if pos >= 0:
+        return pos
+    if len(flags) >= 2 and flags[0] and flags[-1]:
+        return len(flags) - 1
     return None
 
 
-def _hole_site(cur: list[int], single: set[int], start: int) -> tuple[int, int, int | None]:
+def _hole_site(cur: list[int], single: set[int]) -> tuple[int, int, int | None]:
     """The first pair, in order of first occurrence, with a pair-free
     arc: its two positions ``(first, second)`` in arc order and the
-    arc's one single letter, or None for an empty arc.  No arc that the
-    wrap does not cut starts before ``start``.
+    arc's one single letter, or None for an empty arc.
 
     In a word with no interleaved pairs the paired occurrences nest, so
     some pair encloses no other on one side.  After single letters have
@@ -235,8 +232,7 @@ def _hole_site(cur: list[int], single: set[int], start: int) -> tuple[int, int, 
     trying the inner arc before the wrap arc.
     """
     n = len(cur)
-    for i in range(n) if start <= 2 else chain((0, 1), range(start, n)):
-        code = cur[i]
+    for i, code in enumerate(cur):
         other = code ^ 1
         if i + 1 < n and cur[i + 1] == other:
             return i, i + 1, None
@@ -282,10 +278,8 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
     occurrence as the inverse code and tries the first pair, on the
     shorter of its arc and the rest, before a stack scan that stops when
     no earlier pair is open.  The boundary stage keeps the set of single
-    codes and a window of glue sites, which a glue shrinks and a cancel or
-    hole sets to its seam, and starts its hole scan two letters before the
-    last cancel or hole, after the tests across the wrap; its glues share
-    one :class:`_FreshLabels`.
+    codes, finds a glue in one flag per position and stops its hole scan
+    at the first pair-free arc.
     """
     codes, names = coded.codes, coded.names
     moves: list[tuple[str, dict]] = []
@@ -322,9 +316,8 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
         for other in side:
             if (label := other >> 1) in concord:
                 concord.remove(label)
-            else:
+            elif label not in once:
                 concord.add(label)
-        concord -= once
         crosscaps += 1
     if codes is not coded.codes:  # an odd number of swaps
         coded.codes[:] = codes
@@ -343,52 +336,29 @@ def _stages(coded: _Coded) -> tuple[NormalForm, list[tuple[str, dict]]]:
         handles += 1
 
     # no pair becomes single: a glue swaps its two codes for the new one,
-    # and a hole drops its middle.  Every glue site but the wrap's lies in
-    # lo .. hi - 1, and every hole site the wrap does not cut from start on
+    # and a hole drops its middle
     holes = 0
-    fresh = None  # made at the first glue, when the labels in the word are those in use
-    lo, hi, start = 0, len(codes) - 1, 0
     while True:
-        n = len(codes)
-        pos = _glue_site(codes, single, lo, min(hi, n - 1))
+        pos = _glue_site(codes, single)
         if pos is not None:
             moves.append(("glue_singles", {"pos": pos}))
-            single -= {codes[pos], codes[(pos + 1) % n]}
-            fresh = fresh or _FreshLabels(coded)
-            _glue(coded, pos, fresh)
-            single.add(codes[min(pos, n - 2)])
-            if pos < n - 1:
-                # the letter before pos is not single, or pos - 1 would be a
-                # site.  A hole framing the new letter starts at pos - 1,
-                # which start has not passed: it is at most 0 before the
-                # first hole, and a seam's glue has pos - 1 == first - 2
-                lo, hi = pos, hi - 1
-            else:  # no other site was left, and the first letter has gone
-                lo, hi, start = 0, 0, start - 1
+            single -= {codes[pos], codes[(pos + 1) % len(codes)]}
+            _glue(coded, pos)
+            single.add(codes[min(pos, len(codes) - 1)])
             continue
-        if n <= 1:
+        if len(codes) <= 1:
             # no pair is left, and merging left at most one single letter
-            holes += n
+            holes += len(codes)
             break
-        first, second, middle = _hole_site(codes, single, start)
+        first, second, middle = _hole_site(codes, single)
         if middle is None:
             moves.append(("cancel", {"pos": first}))
-            if fresh:
-                fresh.release(codes[first] >> 1)
             _remove(codes, first, second)
         else:
             moves.append(("hive_hole", {"label": names[codes[first] >> 1]}))
             single.discard(codes[middle])
-            if fresh:
-                fresh.release(codes[first] >> 1, codes[middle] >> 1)
             _remove(codes, first, second, middle)
             holes += 1
-        if first < second:
-            # new neighbours meet at the seam, first - 1 and first, and a
-            # hole's arc reads three positions
-            lo, hi, start = max(first - 1, 0), first, first - 2
-        else:  # across the wrap: the letters up to second leave the front
-            lo, hi, start = 0, 0, start - second - 1
 
     if crosscaps:
         form = NormalForm("nonorientable", crosscaps + 2 * handles, holes)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
-from heapq import heappop, heappush
 
 from .words import CONCORD, DISCORD, SignedLetter, Word, _Value, label_sequence
 from .words import _check_multiplicity, _checked_letter, _checked_word, _parse_shared
@@ -342,62 +341,16 @@ def _invert(coded: _Coded) -> None:
     coded.codes[:] = _inverse(coded.codes)
 
 
-class _FreshLabels:
-    """The labels that ``glue_singles`` names in one coded word as it is
-    edited: each the first name of :func:`label_sequence` unused in the
-    word, as an id of ``coded.names``.
-
-    Labels only leave the word, but for the one each glue adds.  So the
-    sequence is walked once, up to a frontier past every name taken or in
-    use then, and the walked names that leave the word since are kept in
-    a min-heap by their places in the sequence.  An edit that removes
-    letters passes their ids to :meth:`release`.
-    """
-
-    __slots__ = ("names", "ids", "used", "sequence", "places", "freed")
-
-    def __init__(self, coded: _Coded):
-        self.names = coded.names
-        self.ids = {name: k for k, name in enumerate(coded.names)}
-        self.used = {code >> 1 for code in coded.codes}
-        self.sequence = label_sequence()
-        self.places: dict[int, int] = {}  # id -> place in the sequence, of each name walked
-        self.freed: list[tuple[int, int]] = []  # (place, id) of the walked names unused
-
-    def take(self) -> int:
-        if self.freed:
-            label = heappop(self.freed)[1]
-        else:
-            ids, places, used = self.ids, self.places, self.used
-            for name in self.sequence:
-                label = ids.get(name)
-                if label is None:
-                    label = ids[name] = len(self.names)
-                    self.names.append(name)
-                places[label] = len(places)
-                if label not in used:
-                    break
-        self.used.add(label)
-        return label
-
-    def release(self, *labels: int) -> None:
-        for label in labels:
-            self.used.discard(label)
-            if label in self.places:
-                heappush(self.freed, (self.places[label], label))
-
-
-def _glue(coded: _Coded, pos: int, fresh: _FreshLabels | None = None) -> None:
+def _glue(coded: _Coded, pos: int) -> None:
     """The edit of ``glue_singles``: the letters at ``pos`` and ``pos +
-    1`` become one letter with the first label unused in the word, taken
-    from ``fresh`` when the caller keeps one for ``coded``."""
-    codes = coded.codes
-    j = (pos + 1) % len(codes)
-    fresh = fresh or _FreshLabels(coded)
-    label = fresh.take()  # before the glued labels leave, as they are in use
-    fresh.release(codes[pos] >> 1, codes[j] >> 1)
-    codes[pos] = 2 * label
-    del codes[j]
+    1`` become one letter with the first label unused in the word."""
+    codes, names = coded.codes, coded.names
+    used = {names[code >> 1] for code in codes}
+    label = next(name for name in label_sequence() if name not in used)
+    if label not in names:
+        names.append(label)
+    codes[pos] = 2 * names.index(label)
+    del codes[(pos + 1) % len(codes)]
 
 
 def _glue_singles(coded: _Coded, pos: int) -> None:

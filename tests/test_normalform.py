@@ -30,8 +30,8 @@ from surfword import (
 )
 
 from surfword.invariants import _partners
-from surfword.normalform import _crossing_site, _handle_site, _stages
-from surfword.rewrite import _Coded, _fold, _interleave, _remove
+from surfword.normalform import _crossing_site, _glue_site, _handle_site, _hole_site, _stages
+from surfword.rewrite import _Coded, _fold, _glue, _interleave, _remove
 
 from conftest import words
 
@@ -594,76 +594,8 @@ def test_crosscap_stage_matches_the_table_search(codes):
     assert coded.codes == reference.codes
 
 
-def _scanning_glue_site(cur, single):
-    """The boundary stage's glue site as it was found before the stage
-    kept a window: from one flag per position, on every step."""
-    flags = bytes([code in single for code in cur])
-    pos = flags.find(b"\1\1")
-    if pos >= 0:
-        return pos
-    if len(flags) >= 2 and flags[0] and flags[-1]:
-        return len(flags) - 1
-    return None
-
-
-def _scanning_hole_site(cur, single):
-    """The boundary stage's hole site as it was found before the stage
-    resumed its scan: from position 0, on every step."""
-    n = len(cur)
-    for i, code in enumerate(cur):
-        other = code ^ 1
-        if i + 1 < n and cur[i + 1] == other:
-            return i, i + 1, None
-        if i + 2 < n and cur[i + 2] == other and cur[i + 1] in single:
-            return i, i + 2, i + 1
-        if i < 2:
-            if i == 0 and cur[-1] == other:
-                return n - 1, 0, None
-            if cur[i - 2] == other and cur[i - 1] in single:
-                return (i - 2) % n, i, (i - 1) % n
-    raise AssertionError("non-interleaved pairs must nest")
-
-
-def _scanning_glue(coded, pos):
-    """``glue_singles``' edit as it was before labels were kept: the new
-    label found by walking the label sequence from ``a`` on every glue."""
-    codes, names = coded.codes, coded.names
-    used = {names[code >> 1] for code in codes}
-    label = next(name for name in label_sequence() if name not in used)
-    if label not in names:
-        names.append(label)
-    codes[pos] = 2 * names.index(label)
-    del codes[(pos + 1) % len(codes)]
-
-
-def _scanning_boundary_stage(coded):
-    """The moves of the boundary stage on ``coded``, a word with no
-    crossing and no concord pair, with every search from the start."""
-    codes, names, moves = coded.codes, coded.names, []
-    single = {code for code in codes if code ^ 1 not in codes}
-    while True:
-        pos = _scanning_glue_site(codes, single)
-        if pos is not None:
-            moves.append(("glue_singles", {"pos": pos}))
-            single -= {codes[pos], codes[(pos + 1) % len(codes)]}
-            _scanning_glue(coded, pos)
-            single.add(codes[min(pos, len(codes) - 1)])
-            continue
-        if len(codes) <= 1:
-            return moves
-        first, second, middle = _scanning_hole_site(codes, single)
-        if middle is None:
-            moves.append(("cancel", {"pos": first}))
-            _remove(codes, first, second)
-        else:
-            moves.append(("hive_hole", {"label": names[codes[first] >> 1]}))
-            single.discard(codes[middle])
-            _remove(codes, first, second, middle)
-
-
 def _reference_glue_site(partner):
-    """The reference for ``_scanning_glue_site``, from a table of partner
-    positions."""
+    """The reference for ``_glue_site``, from a table of partner positions."""
     singles = [k for k, p in enumerate(partner) if k == p]
     for k, nxt in zip(singles, singles[1:]):
         if nxt == k + 1:
@@ -674,8 +606,7 @@ def _reference_glue_site(partner):
 
 
 def _reference_hole_site(partner):
-    """The reference for ``_scanning_hole_site``, from a table of partner
-    positions."""
+    """The reference for ``_hole_site``, from a table of partner positions."""
     n = len(partner)
     for i, j in enumerate(partner):
         if j <= i:
@@ -724,21 +655,21 @@ def test_boundary_sites_match_the_partner_table_search(codes):
     names = [name for name, _ in zip(label_sequence(), range(100))]
     coded = _Coded(codes, names, {})
     single = {code for code in codes if code ^ 1 not in codes}
-    # every word the scanning boundary stage passes through on the way,
-    # with the single codes that the stage keeps
+    # every word the boundary stage passes through on the way, with the
+    # single codes that the stage keeps
     while True:
         partner = _partners(codes)
         assert single == {codes[k] for k, p in enumerate(partner) if k == p}
-        pos = _scanning_glue_site(codes, single)
+        pos = _glue_site(codes, single)
         assert pos == _reference_glue_site(partner), (codes, pos)
         if pos is not None:
             single -= {codes[pos], codes[(pos + 1) % len(codes)]}
-            _scanning_glue(coded, pos)
+            _glue(coded, pos)
             single.add(codes[min(pos, len(codes) - 1)])
             continue
         if len(codes) <= 1:
             return
-        site = _scanning_hole_site(codes, single)
+        site = _hole_site(codes, single)
         assert site == _reference_hole_site(partner), (codes, site)
         first, second, middle = site
         if middle is None:
@@ -746,36 +677,6 @@ def test_boundary_sites_match_the_partner_table_search(codes):
         else:
             single.discard(codes[middle])
             _remove(codes, first, second, middle)
-
-
-# Names for the ids of nested_codes: the label sequence, or the sequence
-# with names outside it (a0, a01) and a gap, so that a glue takes a label
-# that has an id but is not in the word, or one that has none yet.
-_NAMES = [name for name, _ in zip(label_sequence(), range(100))]
-_ODD_NAMES = [f"{name}0{k % 3 or ''}" for k, name in enumerate(_NAMES[:40])] + _NAMES[3:63]
-
-
-@given(nested_codes(), st.sampled_from([_NAMES, _ODD_NAMES]))
-# each bound of the windows kept by the boundary stage, where one less
-# search misses a site
-@example([10, 0, 1, 12], _NAMES)  # k a a' m: the cancel's seam, 0, is a glue site
-@example([2, 10, 12, 3], _NAMES)  # b k m b': a glue at 1 makes a hole at 0
-@example([10, 12, 14], _NAMES)  # k m o: a glue at 0 leaves a site at 0
-@example([10, 12, 0, 14, 16, 1], _NAMES)  # k m a o q a': the site after a glue's
-@example([2, 10, 0, 1, 3], _NAMES)  # b k a a' b': a cancel at 2 makes a hole at 0
-@example([4, 6, 2, 10, 0, 1, 3, 7, 5, 8, 9], _NAMES)  # c d b k a a' b' d' c' e e': at 4, at 2
-@example([12, 4, 6, 2, 10, 0, 1, 3, 7, 5, 8, 9], _NAMES)  # m c d b k a a' b' ...: at 5, at 3
-@example([0, 2, 10, 3, 12, 14, 1, 16], _NAMES)
-@example([0, 10, 2, 3, 12, 1, 14], _NAMES)  # a k b b' m a' o: glue and hole across the wrap
-@example([10, 0, 1, 12, 4, 5], _ODD_NAMES)  # a glue takes a label that left the word
-@settings(max_examples=300, deadline=None)
-def test_boundary_stage_matches_the_scanning_stage(codes, names):
-    # _stages on such a word runs only its boundary stage
-    scanned = _Coded(codes[:], names[:], {})
-    moves = _scanning_boundary_stage(scanned)
-    coded = _Coded(codes[:], names[:], {})
-    assert _stages(coded)[1] == moves
-    assert coded.codes == scanned.codes and coded.names == scanned.names
 
 
 class TestEquivalent:
