@@ -2,10 +2,11 @@
 
 normalize() returns the normal form together with the full chain of
 rewrite steps.  The chain serializes to JSON.  Trace.from_json() reads
-it back by applying each step's move and comparing the text it makes
-with the recorded word; replay() then re-runs the moves from the
-starting word.  A recorded word that does not match is read as written,
-and replay() names the first step whose move does not make it.
+it back in one walk of its moves from the first word, comparing the
+text of each word with the recorded one.  replay() checks the starting
+word first, then walks the moves once, each with its rule's checks.  A
+recorded word that does not match is read as written, and replay()
+names the first step whose move does not make it.
 """
 
 import json

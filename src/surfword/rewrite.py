@@ -22,13 +22,14 @@ the initial word, each ``(rule, params)`` and the final word.  Its
 intermediate words are built once, when its steps are first read; it
 is written to JSON from the codes, without them.
 
-:meth:`Trace.from_json` reads a trace at the cost of its moves.  It
-parses the first word once, applies each move to its codes and
-compares the text they make with the recorded one; when every text
-agrees, the trace it returns stores its moves alone, and :func:`replay`
-walks them once.  A trace whose texts differ anywhere (a tampered,
-compactly written or oddly spaced word, or a move that does not apply)
-is read word by word instead, and replay names the step at fault.
+One walk applies a trace's moves: :meth:`Trace._walk` edits the codes
+of the first word and yields them after each move.  Writing a trace,
+building its steps, :meth:`Trace.from_json` and :func:`replay` all read
+it.  ``from_json`` compares the text of each word with the recorded
+one; when every text agrees, the trace it returns stores its moves
+alone.  A trace whose texts differ anywhere (a tampered, compactly
+written or oddly spaced word, or a move that does not apply) is read
+word by word instead, and replay names the step at fault.
 """
 
 from __future__ import annotations
@@ -551,14 +552,15 @@ class Trace:
     Invariant: each step's ``before`` equals the previous step's
     ``after``.  Serializes to a JSON array of step objects.
 
-    A trace made by :meth:`from_moves` stores only its initial word, its
-    ``(rule, params)`` moves and its final word.  One walk serves it: the
+    One walk (:meth:`_walk`) applies the moves of every trace: the
     initial word is encoded once, the moves edit its codes, and the walk
-    checks that they reach the final word.  Its steps, with the words
-    between, are built the first time they are read, each word decoded
-    once.  Until then it is written from the codes, and builds no step.
-    :meth:`from_json` returns such a trace for the text that
-    :meth:`to_json` writes.
+    checks that they reach the final word.  A trace made by
+    :meth:`from_moves` stores only its initial word, its ``(rule,
+    params)`` moves and its final word.  Its steps, with the words
+    between, are built from the walk the first time they are read, each
+    word decoded once.  Until then it is written from the codes, and
+    builds no step.  :meth:`from_json` returns such a trace for the text
+    that :meth:`to_json` writes.
     """
 
     __slots__ = ("_initial", "_moves", "_final", "_steps")
@@ -671,19 +673,19 @@ class Trace:
             return None
         text, tokens = data[0]["before"], []
         try:
-            first = _parse_shared(text, {})
-            coded = _Coded.encode(first)
-            for step in data:
+            moves = [(step["rule"], step["params"]) for step in data]
+            trace = cls.from_moves(_parse_shared(text, {}), moves, None)
+            # ``data`` first: the walk stops before its check of the final word
+            for step, coded in zip(data, trace._walk()):
                 if step["before"] != text:
                     return None
-                _apply(coded, step["rule"], step["params"])
                 text = _text(coded, tokens)
                 if text != step["after"]:
                     return None
         except ValueError:  # a bad first word, or a move that does not apply
             return None
-        moves = [(step["rule"], step["params"]) for step in data]
-        return cls.from_moves(first, moves, coded.decode())
+        trace._final = coded.decode()
+        return trace
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
@@ -691,13 +693,13 @@ class Trace:
         malformed or too deeply nested JSON, a malformed step or steps
         that do not chain.
 
-        The first word is parsed and encoded once.  Each step's move is
-        applied to its codes, with its rule's checks, and the text the
-        codes make is compared with the recorded ``after``; each
-        ``before`` must be the previous ``after`` as text.  A text that
-        a move makes from a valid word is a valid word, so no other word
-        is parsed or counted, and the trace returned stores its moves
-        only (:meth:`from_moves`).
+        The first word is parsed once and its moves are walked
+        (:meth:`_walk`), each with its rule's checks; the text of each
+        word the walk makes is compared with the recorded ``after``, and
+        each ``before`` must be the previous ``after`` as text.  A text
+        that a move makes from a valid word is a valid word, so no other
+        word is parsed or counted, and the trace returned stores its
+        moves only (:meth:`from_moves`).
 
         At the first step that does not agree, every step is read word
         by word, as :meth:`RewriteStep.from_dict` reads it, which raises
@@ -727,54 +729,37 @@ def replay(word: Word, trace: Trace) -> Word:
     words disagree with recomputation, or whose rule or parameters do
     not apply.  Returns the final word.
 
-    A trace whose steps are not built, such as the one
-    :meth:`Trace.from_json` returns for what :meth:`Trace.to_json`
-    writes, records no word between its first and its last.  Its moves
-    are walked once, with every check and the check that they reach the
-    final word, and then ``word`` is compared with its first word.  A
-    move that does not apply names its step, and moves that miss the
-    final word name the last.
-
-    Otherwise ``word`` is encoded once and each step edits its codes.
-    Once a step's result is checked equal to its recorded ``after``,
-    replay continues from that recorded word.  Its codes are mapped to
-    its letters, so that later results decode to them, after the first
-    step and after each step whose decoding had to make a letter (the
-    new label of a glue, or the other orientation of a code that a fold
-    or an inversion brings in).  The words of a parsed trace share their
-    letters, so later comparisons mostly meet the same objects.
+    ``word`` is compared with the trace's first word, and then the moves
+    are walked once (:meth:`Trace._walk`), with every check and the
+    check that they reach the final word; moves that miss it name the
+    last step.  When the steps are built, each word the walk makes is
+    also compared with the recorded ``after``.  A step whose decoding
+    had to make a letter maps its codes to the recorded letters, so
+    that later words decode to the objects they are compared with.
     """
-    if trace._steps is None:  # the moves, each checked, and that they reach the final word
-        done = 0
-        try:
-            for done, _ in enumerate(trace._walk(), 1):
-                pass
-        except NotApplicable as exc:
-            rule = trace._moves[done][0]
-            raise ReplayMismatch(f"step {done}: {rule} not applicable: {exc}") from exc
-        except AssertionError as exc:  # raised by the walk's last check only
-            raise ReplayMismatch(f"step {done - 1}: {exc}") from exc
-    if len(trace) and word != trace.initial_word():
+    if not len(trace):
+        return word
+    if word != trace.initial_word():
         raise ReplayMismatch(
             f"step 0: expected word {trace.initial_word().render()!r}, have {word.render()!r}"
         )
-    if trace._steps is None:
-        return trace.final_word()
-    coded = _Coded.encode(word)
-    current = word
-    for idx, step in enumerate(trace):
-        try:
-            _apply(coded, step.rule, step.params)
-        except NotApplicable as exc:
-            raise ReplayMismatch(f"step {idx}: {step.rule} not applicable: {exc}") from exc
-        known = len(coded.letters)
-        result = coded.decode()
-        if result != step.after:
-            raise ReplayMismatch(
-                f"step {idx}: {step.rule} produced {result.render()!r}, "
-                f"recorded {step.after.render()!r}"
-            )
-        current = step.after
-        if idx == 0 or len(coded.letters) > known:
-            coded.letters.update(zip(coded.codes, current.letters))
-    return current
+    steps, done = trace._steps, 0
+    try:
+        for done, coded in enumerate(trace._walk(), 1):
+            if steps is not None:
+                step = steps[done - 1]
+                known = len(coded.letters)
+                result = coded.decode()
+                if result != step.after:
+                    raise ReplayMismatch(
+                        f"step {done - 1}: {step.rule} produced {result.render()!r}, "
+                        f"recorded {step.after.render()!r}"
+                    )
+                if len(coded.letters) > known:
+                    coded.letters.update(zip(coded.codes, step.after.letters))
+    except NotApplicable as exc:
+        rule = trace._moves[done][0]
+        raise ReplayMismatch(f"step {done}: {rule} not applicable: {exc}") from exc
+    except AssertionError as exc:  # raised by the walk's last check only
+        raise ReplayMismatch(f"step {done - 1}: {exc}") from exc
+    return trace.final_word()

@@ -345,7 +345,20 @@ def trace_texts(draw):
     return start, json.dumps(data)
 
 
+def _one_text_changed(k, key, change, text="c a b a' c x b"):
+    """A start word and the JSON of its ``normalize`` trace, with the
+    ``key`` text of step ``k`` alone changed by ``change``."""
+    word = parse(text)
+    data = json.loads(normalize(word)[1].to_json())
+    data[k][key] = change(data[k][key])
+    return word, json.dumps(data)
+
+
 @given(trace_texts())
+# the last step's words, which the walk reaches last, and a first word read as spaced
+@example(_one_text_changed(-1, "after", lambda text: (text + " z9").strip()))
+@example(_one_text_changed(-1, "before", lambda text: (text + " z9").strip()))
+@example(_one_text_changed(0, "before", lambda text: text.replace(" ", "  ")))
 @settings(max_examples=300, deadline=None)
 def test_from_json_and_replay_match_the_step_by_step_references(case):
     start, text = case
@@ -355,6 +368,29 @@ def test_from_json_and_replay_match_the_step_by_step_references(case):
         # replay first, on a trace whose steps nothing has read yet
         assert _outcome(replay, start, read) == _outcome(_reference_replay, start, reference)
     assert read == reference
+
+
+@pytest.mark.parametrize("k", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize(
+    "move",
+    [("cancel", {"pos": 99}), ("fold_concord", {"label": "zz"}), ("rotate", {}), ("shrink", {})],
+    ids=["cancel", "fold_concord", "rotate", "unknown"],
+)
+def test_a_move_that_does_not_apply_is_named_alike_on_both_kinds_of_trace(move, k):
+    word = parse("c a b a' c x b")
+    _, trace = normalize(word)
+    data = json.loads(trace.to_json())
+    data[k]["rule"], data[k]["params"] = move
+    # one doubled space, which no walk writes, so the trace is read word by word
+    data[0]["after"] = data[1]["before"] = data[1]["before"].replace(" ", "  ", 1)
+    by_words = Trace.from_json(json.dumps(data))
+    moves = [(step["rule"], step["params"]) for step in data]
+    by_moves = Trace.from_moves(word, moves, trace.final_word())
+    assert by_words._steps is not None and by_moves._steps is None
+    outcome = _outcome(replay, word, by_moves)
+    assert outcome[0] is ReplayMismatch
+    assert outcome[1].startswith(f"step {k % len(data)}: {move[0]} not applicable: ")
+    assert outcome == _outcome(replay, word, by_words)
 
 
 class TestTraceAndReplay:
@@ -532,15 +568,15 @@ class TestTraceAndReplay:
     @pytest.mark.parametrize(
         "move, final", [(("cancel", {"pos": 0}), "y"), (("cancel", {"pos": 5}), "x")]
     )
-    def test_replay_walks_the_moves_before_it_checks_the_start(self, move, final):
-        # the reference builds the steps, which raises what the walk raises;
-        # replay names the step of the same fault in a ReplayMismatch
-        trace = Trace.from_moves(parse("a a' x"), [move], parse(final))
-        kind, message = _outcome(_reference_replay, parse("b"), trace)
-        assert kind in (AssertionError, NotApplicable)
-        outcome = _outcome(replay, parse("b"), trace)
-        assert outcome[0] is ReplayMismatch
-        assert outcome[1].startswith("step 0: ") and outcome[1].endswith(message)
+    def test_replay_checks_the_start_before_it_walks_the_moves(self, move, final):
+        # the move misses the final word or does not apply, and the start is wrong:
+        # both kinds of trace name the start, as the reference does on the built form
+        first, final = parse("a a' x"), parse(final)
+        built = Trace([RewriteStep(*move, first, final)])
+        expected = _outcome(_reference_replay, parse("b"), built)
+        assert expected[0] is ReplayMismatch and expected[1].startswith("step 0: expected word ")
+        for trace in (Trace.from_moves(first, [move], final), built):
+            assert _outcome(replay, parse("b"), trace) == expected
 
     def test_replay_of_moves_names_the_step_at_fault(self):
         word = parse("a b a' b'")
