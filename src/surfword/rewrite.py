@@ -672,8 +672,8 @@ class Trace:
         if not (data and all(map(_shaped, data))):
             return None
         text, tokens = data[0]["before"], []
+        moves = [(step["rule"], step["params"]) for step in data]
         try:
-            moves = [(step["rule"], step["params"]) for step in data]
             trace = cls.from_moves(_parse_shared(text, {}), moves, None)
             # ``data`` first: the walk stops before its check of the final word
             for step, coded in zip(data, trace._walk()):
