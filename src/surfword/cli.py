@@ -4,9 +4,11 @@ Subcommands: classify, equiv, trace, invariants, gen, batch.  Words are
 passed as single quoted arguments in the word grammar (apostrophes mark
 inverses, so shell quoting is required), and read as letter codes; only
 the trace and the invariants decode them to a ``Word``, and ``batch``
-builds no word and no trace.  Exit codes: 0 success, 1 invalid word or
-closed output pipe, 2 usage error, 3 reported by ``equiv`` for
-inequivalent words.
+builds no word and no trace.  ``batch`` reads a file, or ``-`` for
+stdin, as UTF-8: a line with undecodable bytes is reported as an
+invalid word, and unreadable input (a missing file, a closed stdin) is
+a usage error.  Exit codes: 0 success, 1 invalid word or closed output
+pipe, 2 usage error, 3 reported by ``equiv`` for inequivalent words.
 """
 
 from __future__ import annotations
@@ -89,12 +91,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    if args.file == "-":
-        return _batch(sys.stdin, args.json)
+    # undecodable bytes become lone surrogates, so such a line is reported
+    # as an invalid word, and its echo writes the same bytes back
+    sys.stdout.reconfigure(errors="surrogateescape")
+    stdin = args.file == "-"
     try:
-        # undecodable bytes become lone surrogates, as on stdin in UTF-8
-        # mode, so such a line is reported as an invalid word
-        lines = open(args.file, encoding="utf-8", errors="surrogateescape")
+        lines = open(0 if stdin else args.file, encoding="utf-8", errors="surrogateescape",
+                     closefd=not stdin)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,9 @@ it.  ``from_json`` compares the text of each word with the recorded
 one; when every text agrees, the trace it returns stores its moves
 alone.  A trace whose texts differ anywhere (a tampered, compactly
 written or oddly spaced word, or a move that does not apply) is read
-word by word instead, and replay names the step at fault.
+word by word instead, by :func:`_read_steps`, the one reader of step
+objects, which :meth:`RewriteStep.from_dict` also uses; replay names
+the step at fault.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 
-from .words import CONCORD, DISCORD, SignedLetter, Word, _Value, label_sequence
-from .words import _check_multiplicity, _checked_letter, _checked_word, _parse_shared
+from .words import CONCORD, DISCORD, SignedLetter, Word, _Value, _check_multiplicity
+from .words import _checked_letter, _checked_word, _first_unused, _parse_shared
 
 __all__ = [
     "NotApplicable",
@@ -346,8 +348,7 @@ def _glue(coded: _Coded, pos: int) -> None:
     """The edit of ``glue_singles``: the letters at ``pos`` and ``pos +
     1`` become one letter with the first label unused in the word."""
     codes, names = coded.codes, coded.names
-    used = {names[code >> 1] for code in codes}
-    label = next(name for name in label_sequence() if name not in used)
+    label = _first_unused({names[code >> 1] for code in codes})
     if label not in names:
         names.append(label)
     codes[pos] = 2 * names.index(label)
@@ -514,36 +515,31 @@ class RewriteStep(_Value):
         return Trace([self]).to_list()[0]
 
     @classmethod
-    def from_dict(
-        cls,
-        data: dict,
-        parsed: dict[str, Word] | None = None,
-        letters: dict[str, SignedLetter] | None = None,
-    ) -> "RewriteStep":
+    def from_dict(cls, data: dict) -> "RewriteStep":
         """Rebuild a step from :meth:`to_dict` output; raises
         :class:`ValueError` on any other shape or an unparsable word.
-
-        ``parsed`` maps word texts to words already parsed from them and
-        gains the words parsed here, so a trace parses each word once.
-        ``letters`` maps tokens to letters in the same way, so the words
-        of a trace share one letter per distinct token.
-        """
-        if not _shaped(data):
-            raise ValueError("trace step wants strings rule, before, after and an object params")
-        parsed = {} if parsed is None else parsed
-        letters = {} if letters is None else letters
-        for text in (data["before"], data["after"]):
-            if text not in parsed:
-                parsed[text] = _parse_shared(text, letters)
-        return cls(
-            rule=data["rule"],
-            params=dict(data["params"]),
-            before=parsed[data["before"]],
-            after=parsed[data["after"]],
-        )
+        The step is read by :func:`_read_steps`, as a trace's are."""
+        return next(_read_steps([data]))
 
     def describe(self) -> str:
         return Trace([self]).describe()
+
+
+def _read_steps(data: Iterable) -> Iterator[RewriteStep]:
+    """The steps of the step objects ``data``, read word by word; raises
+    :class:`ValueError` at the first item of another shape or with an
+    unparsable word.  Each distinct word text is parsed once, and one
+    letter is made per distinct token, which all the words share."""
+    parsed: dict[str, Word] = {}
+    letters: dict[str, SignedLetter] = {}
+    for item in data:
+        if not _shaped(item):
+            raise ValueError("trace step wants strings rule, before, after and an object params")
+        before, after = item["before"], item["after"]
+        for text in (before, after):
+            if text not in parsed:
+                parsed[text] = _parse_shared(text, letters)
+        yield RewriteStep(item["rule"], dict(item["params"]), parsed[before], parsed[after])
 
 
 class Trace:
@@ -702,12 +698,13 @@ class Trace:
         moves only (:meth:`from_moves`).
 
         At the first step that does not agree, every step is read word
-        by word, as :meth:`RewriteStep.from_dict` reads it, which raises
-        the errors of a bad step or word in step order; steps that
-        parse but do not reproduce are kept for :func:`replay` to name.
-        Each distinct word text is then parsed once, and one letter is
-        made per distinct token, which all the words of the trace share,
-        the words written compactly (``aba'b'``) as much as the others.
+        by word by :func:`_read_steps`, the reader of
+        :meth:`RewriteStep.from_dict`, which raises the errors of a bad
+        step or word in step order; steps that parse but do not
+        reproduce are kept for :func:`replay` to name.  Each distinct
+        word text is then parsed once, and one letter is made per
+        distinct token, which all the words of the trace share, the
+        words written compactly (``aba'b'``) as much as the others.
         """
         try:
             data = json.loads(text)
@@ -717,9 +714,7 @@ class Trace:
             raise ValueError("a trace must be a JSON array of steps")
         if (trace := cls._checked_moves(data)) is not None:
             return trace
-        parsed: dict[str, Word] = {}
-        letters: dict[str, SignedLetter] = {}
-        return cls(RewriteStep.from_dict(item, parsed, letters) for item in data)
+        return cls(_read_steps(data))
 
 
 def replay(word: Word, trace: Trace) -> Word:

@@ -479,7 +479,11 @@ def label_sequence() -> Iterator[str]:
             yield ch + tail
 
 
+def _first_unused(used: set[str]) -> str:
+    """The first label from :func:`label_sequence` not in ``used``."""
+    return next(name for name in label_sequence() if name not in used)
+
+
 def fresh_label(word: Word) -> str:
     """First label from :func:`label_sequence` unused in ``word``."""
-    used = {letter.label for letter in word}
-    return next(name for name in label_sequence() if name not in used)
+    return _first_unused({letter.label for letter in word})

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -227,6 +228,41 @@ class TestBatch:
         code, _, err = run(capsys, "batch", "/no/such/file")
         assert code == 2
         assert "error" in err
+
+
+# strict UTF-8 stdio, as under a UTF-8 locale; the C locale would let
+# Python's stdio pass undecodable bytes through as surrogates
+STRICT_STDIO = {**os.environ, "PYTHONIOENCODING": "utf-8:strict"}
+
+
+class TestBatchInput:
+    """``python -m surfword batch`` reads stdin as it reads a file."""
+
+    CONTENT = b"a a\nb \xff b\nc c'\n"
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("source", ["stdin", "file"])
+    def test_an_undecodable_line_is_an_invalid_word(self, tmp_path, source, as_json):
+        path = tmp_path / "words.txt"
+        path.write_bytes(self.CONTENT)
+        argv = [sys.executable, "-m", "surfword", "batch", *(["--json"] if as_json else []),
+                "-" if source == "stdin" else str(path)]
+        stdin = self.CONTENT if source == "stdin" else b""
+        result = subprocess.run(argv, input=stdin, capture_output=True, env=STRICT_STDIO)
+        lines = self.CONTENT.decode("utf-8", "surrogateescape").splitlines(keepends=True)
+        code, out = _captured(_batch, lines, as_json)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            code, out.encode("utf-8", "surrogateescape"), b""
+        )
+        assert code == 1 and len(out.splitlines()) == 3
+        assert "error" in out.splitlines()[1]
+
+    def test_a_closed_stdin_is_a_usage_error(self):
+        argv = ["sh", "-c", 'exec "$0" -m surfword batch - <&-', sys.executable]
+        result = subprocess.run(argv, capture_output=True, env=STRICT_STDIO)
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"error: ")
+        assert b"Traceback" not in result.stderr
 
 
 class TestUsage:

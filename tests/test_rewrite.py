@@ -269,10 +269,9 @@ class TestCodedParse:
 
 
 def _reference_from_json(text):
-    """The step-by-step reader: every word parsed, and the steps chained
-    as words by ``Trace``."""
-    parsed, letters = {}, {}
-    return Trace(RewriteStep.from_dict(item, parsed, letters) for item in json.loads(text))
+    """The step-by-step reader: every word parsed on its own, and the
+    steps chained as words by ``Trace``."""
+    return Trace(RewriteStep.from_dict(item) for item in json.loads(text))
 
 
 def _reference_replay(word, trace):
@@ -479,6 +478,14 @@ class TestTraceAndReplay:
     def test_from_json_rejects_a_malformed_trace(self, text):
         with pytest.raises(ValueError):
             Trace.from_json(text)
+
+    def test_from_dict_takes_the_step_object_alone(self):
+        data = {"rule": "cancel", "params": {"pos": 0}, "before": "a a'", "after": ""}
+        step = RewriteStep.from_dict(data)
+        assert step == RewriteStep("cancel", {"pos": 0}, parse("a a'"), parse(""))
+        assert step.to_dict() == data
+        with pytest.raises(TypeError):
+            RewriteStep.from_dict(data, {})
 
     @pytest.mark.parametrize(
         "text", ["aba'b'", "a\tb  a'\tb'", " a1 b' ", "a", "a'", "", "a a b' c a1' a1"]
