@@ -91,18 +91,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    # undecodable bytes become lone surrogates, so such a line is reported
-    # as an invalid word, and its echo writes the same bytes back
-    sys.stdout.reconfigure(errors="surrogateescape")
-    stdin = args.file == "-"
+    source = 0 if args.file == "-" else args.file  # stdin is file descriptor 0, left open
     try:
-        lines = open(0 if stdin else args.file, encoding="utf-8", errors="surrogateescape",
-                     closefd=not stdin)
+        lines = open(source, encoding="utf-8", errors="surrogateescape", closefd=source != 0)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with lines:
-        return _batch(lines, args.json)
+    # undecodable bytes become lone surrogates, so such a line is reported
+    # as an invalid word, and its echo writes the same bytes back; a text
+    # stream with no encoding (io.StringIO) takes surrogates as they are
+    out = sys.stdout
+    errors = out.errors if hasattr(out, "reconfigure") else None
+    try:
+        if errors:
+            out.reconfigure(errors="surrogateescape")
+        with lines:
+            return _batch(lines, args.json)
+    finally:
+        if errors:  # the caller's stdout as it was
+            out.reconfigure(errors=errors)
 
 
 def _batch(lines: Iterable[str], as_json: bool) -> int:

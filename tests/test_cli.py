@@ -257,6 +257,22 @@ class TestBatchInput:
         assert code == 1 and len(out.splitlines()) == 3
         assert "error" in out.splitlines()[1]
 
+    @pytest.mark.parametrize("stream", ["string", "strict file"])
+    def test_in_process_batch_leaves_stdout_as_it_was(self, tmp_path, stream):
+        path = tmp_path / "words.txt"
+        path.write_bytes(self.CONTENT)
+        lines = self.CONTENT.decode("utf-8", "surrogateescape").splitlines(keepends=True)
+        expected = _captured(_batch, lines, False)
+        buffer = io.BytesIO()
+        out = io.StringIO() if stream == "string" else io.TextIOWrapper(buffer, encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            code = main(["batch", str(path)])
+        out.flush()
+        text = out.getvalue() if stream == "string" else buffer.getvalue().decode(
+            "utf-8", "surrogateescape")
+        assert (code, text) == expected
+        assert stream == "string" or out.errors == "strict"
+
     def test_a_closed_stdin_is_a_usage_error(self):
         argv = ["sh", "-c", 'exec "$0" -m surfword batch - <&-', sys.executable]
         result = subprocess.run(argv, capture_output=True, env=STRICT_STDIO)
